@@ -15,11 +15,31 @@ ray must clear the upper plate's trailing edge.
 Sampling is deterministic: uniform grids over velocity and over the source
 aperture.  Tracing is side-effect free and reduced by plain summation, so
 results do not depend on evaluation order.
+
+Rows are settled from their end columns.  At a fixed velocity (one grid row)
+every cut is affine in the source offset u: the entry window, both on-plate
+checks, the exit clearance (the complement of the interval (0, l)) and each
+pinhole's |off| <= d/2.  The entry window depends on u alone, so the
+columns it blocks are dropped up front.  The float expressions are monotone in u too, since
+each step combines a monotone column value with a per-row constant and
+rounding is monotone; only the pinhole offset sums two terms that move
+oppositely, so it is monotone up to a few ulps of those terms.  The kernels
+evaluate the cuts on the two end columns (u = +-D/2) of every row.  A row
+passes in full when both ends pass every interval cut and lie on the same
+side of the clearance gap; it passes nothing when both ends fail one cut on
+the same side or an order is evanescent.  Each end must clear its bound by
+``SETTLE_MARGIN`` of the cut's scale, a million times any rounding
+excursion, so a settled row has the count the full grid would give.  The
+remaining "partial" rows (at most 15 of 2001 in the device and under a
+fifth in the baseline at the default setup) are traced on every column with
+the same expressions.  The per-row counts, and hence every output, are
+therefore bit-identical to evaluating every cell.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +61,16 @@ from .geometry import (
 
 DEFAULT_VELOCITY_BINS = 2001
 DEFAULT_OFFSET_SAMPLES = 201
+
+#: Largest grids the kernels accept, far above the 8001 x 801 convergence
+#: check; partial rows are traced in chunks of about ``_CHUNK_CELLS`` cells.
+MAX_VELOCITY_BINS = 100_001
+MAX_OFFSET_SAMPLES = 10_001
+_CHUNK_CELLS = 1 << 18
+
+#: A row is settled from its end columns only when both ends clear every
+#: bound by this fraction of the cut's scale.
+SETTLE_MARGIN = 1e-9
 
 #: Baseline comparison: one bounce at this incidence angle, first order.
 BASELINE_THETA_INC = math.radians(50.0)
@@ -218,22 +248,133 @@ def select_path(
     return max(feasible, key=lambda p: (p.transmission, -abs(p.n1), p.orders))
 
 
-def _pinhole_pass(theta_exit, dx, theta_ref, pinholes):
-    """Mask of rays passing every pinhole.
+@dataclass(frozen=True)
+class _Cut:
+    """One cut on a block of grid cells: a cell passes iff lo <= value <= hi.
+
+    A ``gap`` cut passes outside the open interval (lo, hi) instead.
+    ``scale()`` bounds the magnitudes whose rounding errors enter ``value``
+    (default |value|); the settling margin is relative to it.
+    """
+
+    value: np.ndarray
+    lo: float
+    hi: float
+    scale: Callable[[], np.ndarray] | None = None
+    gap: bool = False
+
+    def passes(self) -> np.ndarray:
+        v = self.value
+        if self.gap:
+            return ~((v > self.lo) & (v < self.hi))
+        return (v >= self.lo) & (v <= self.hi)
+
+    def settle(self) -> tuple[np.ndarray, np.ndarray]:
+        """Rows that pass in full and rows that pass nothing, from the two end columns."""
+        v0, v1 = self.value[:, 0], self.value[:, 1]
+        scale = np.abs(self.value) if self.scale is None else self.scale()
+        m = SETTLE_MARGIN * np.maximum(scale[:, 0], scale[:, 1])
+        lo_in, lo_out = self.lo + m, self.lo - m
+        hi_in, hi_out = self.hi - m, self.hi + m
+        if self.gap:
+            clear = ((v0 <= lo_out) & (v1 <= lo_out)) | ((v0 >= hi_out) & (v1 >= hi_out))
+            return clear, (v0 > lo_in) & (v1 > lo_in) & (v0 < hi_in) & (v1 < hi_in)
+        inside = (v0 >= lo_in) & (v1 >= lo_in) & (v0 <= hi_in) & (v1 <= hi_in)
+        return inside, ((v0 < lo_out) & (v1 < lo_out)) | ((v0 > hi_out) & (v1 > hi_out))
+
+
+@dataclass(frozen=True)
+class _Grid:
+    """Velocity x source-offset grid whose cuts are monotone along each row.
+
+    ``cuts(rows, u)`` evaluates every cut on the given rows (an index array
+    or a slice) and columns ``u`` of shape (1, k).  A cell passes when its
+    row is ``valid`` and it passes every cut.
+    """
+
+    valid: np.ndarray  # (nv,) bool
+    u: np.ndarray  # (nu,) column coordinate the cuts are monotone in
+    cuts: Callable[..., list[_Cut]]
+
+    def cell_counts(self, rows) -> np.ndarray:
+        """Cells of ``rows`` passing every cut, each column evaluated."""
+        cuts = self.cuts(rows, self.u[None, :])
+        passed = cuts[0].passes()
+        for cut in cuts[1:]:
+            passed &= cut.passes()
+        return passed.sum(axis=1)
+
+    def row_counts(self) -> np.ndarray:
+        """Passing cells per row; only rows unsettled by their ends are traced in full."""
+        counts = np.zeros(len(self.valid), dtype=np.intp)
+        if self.u.size == 0:
+            return counts
+        full = self.valid.copy()
+        empty = ~self.valid
+        for cut in self.cuts(slice(None), self.u[None, [0, -1]]):
+            all_pass, none_pass = cut.settle()
+            full &= all_pass
+            empty |= none_pass
+        counts[full] = self.u.size
+        partial = np.flatnonzero(~full & ~empty)
+        chunk = max(1, _CHUNK_CELLS // self.u.size)
+        for i in range(0, partial.size, chunk):
+            rows = partial[i:i + chunk]
+            counts[rows] = self.cell_counts(rows)
+        return counts
+
+
+def _pinhole_cuts(theta_exit, theta_ref, pinholes):
+    """``cuts(rows, dx)`` for pinholes centred on the reference ray.
 
     Pinholes are centred on the reference ray (exit angle ``theta_ref``
-    through dx = 0) and oriented perpendicular to it.  ``theta_exit`` and
-    ``dx`` broadcast together; dx is the exit-point displacement along the
-    plate relative to the reference ray.
+    through dx = 0) and oriented perpendicular to it.  ``theta_exit`` has
+    shape (nv, 1); dx is the exit-point displacement along the plate
+    relative to the reference ray.  The offset sums two terms that move
+    oppositely in dx, so its scale covers both terms and the numerator of
+    the path length.
     """
-    passed = np.ones(np.broadcast(theta_exit, dx).shape, dtype=bool)
     rel = theta_exit - theta_ref
     cos_rel = np.cos(rel)
-    for ph in pinholes:
-        t = (ph.distance - dx * math.sin(theta_ref)) / cos_rel
-        off = dx * math.cos(theta_ref) + t * np.sin(rel)
-        passed &= np.abs(off) <= ph.diameter / 2
-    return passed
+    sin_rel = np.sin(rel)
+    slope = np.abs(sin_rel / cos_rel)
+    cos_ref, sin_ref = math.cos(theta_ref), math.sin(theta_ref)
+
+    def cuts(rows, dx):
+        along = dx * cos_ref
+        cos_r, sin_r = cos_rel[rows], sin_rel[rows]
+        out = []
+        for ph in pinholes:
+            t = (ph.distance - dx * sin_ref) / cos_r
+            off = along + t * sin_r
+
+            def scale(distance=ph.distance):
+                return np.abs(along) + (distance + np.abs(dx * sin_ref)) * slope[rows]
+
+            out.append(_Cut(off, -ph.diameter / 2, ph.diameter / 2, scale))
+        return out
+
+    return cuts
+
+
+def _check_grid(velocity_bins: int, offset_samples: int) -> None:
+    if velocity_bins > MAX_VELOCITY_BINS or offset_samples > MAX_OFFSET_SAMPLES:
+        raise ConfigurationError(
+            f"grid {velocity_bins} x {offset_samples} exceeds the limit "
+            f"{MAX_VELOCITY_BINS} x {MAX_OFFSET_SAMPLES}"
+        )
+
+
+def _axes(spec: BeamSpec, beamline: Beamline, velocity_bins: int, offset_samples: int):
+    """Velocity bin centres and source offsets of the sampling grid."""
+    vbar = spec.center_velocity
+    velocities = np.linspace(vbar - spec.full_width / 2, vbar + spec.full_width / 2, velocity_bins)
+    offsets = np.linspace(
+        -beamline.source_pinhole.diameter / 2,
+        beamline.source_pinhole.diameter / 2,
+        offset_samples,
+    )
+    return velocities, offsets
 
 
 def _fwhm(x: np.ndarray, w: np.ndarray) -> float:
@@ -278,22 +419,9 @@ def _reduce(spec, velocities, weights, throughput) -> BeamlineResult:
     )
 
 
-def simulate_beam(
-    spec: BeamSpec,
-    beamline: Beamline,
-    particle: Particle,
-    grating: Grating,
-    path: DiffractionPath | None = None,
-    velocity_bins: int = DEFAULT_VELOCITY_BINS,
-    offset_samples: int = DEFAULT_OFFSET_SAMPLES,
-) -> BeamlineResult:
-    """Propagate the beam through the triple-bounce device and the pinholes.
-
-    The incidence angle is set so the centre velocity exits at the device's
-    fixed exit angle; the downstream pinholes are centred on that ray.  Each
-    launched ray carries equal weight; transmitted rays are scaled by the
-    path's transmission rate so throughput is physically meaningful.
-    """
+def _beam_grid(spec, beamline, particle, grating, path, velocity_bins, offset_samples):
+    """Velocities, grid and path transmission traced by :func:`simulate_beam`."""
+    _check_grid(velocity_bins, offset_samples)
     setting = beamline.setting
     device = beamline.device
     vbar = spec.center_velocity
@@ -313,37 +441,21 @@ def simulate_beam(
             "entry window closed at this incidence angle",
             configuration={"theta_inc": theta_inc},
         )
-    x1c = entry_window / 2
-
-    velocities = np.linspace(vbar - spec.full_width / 2, vbar + spec.full_width / 2, velocity_bins)
-    offsets = np.linspace(
-        -beamline.source_pinhole.diameter / 2,
-        beamline.source_pinhole.diameter / 2,
-        offset_samples,
-    )
+    velocities, offsets = _axes(spec, beamline, velocity_bins, offset_samples)
 
     step = _sin_step(particle, grating, velocities)[:, None]  # (nv, 1)
     s1 = math.sin(theta_inc) + path.n1 * step
     s2 = s1 + path.n2 * step
     s3 = s2 + path.n3 * step
     valid = (np.abs(s1) <= 1.0) & (np.abs(s2) <= 1.0) & (np.abs(s3) <= 1.0)
-    alpha1 = np.arcsin(np.clip(s1, -1.0, 1.0))
-    alpha2 = np.arcsin(np.clip(s2, -1.0, 1.0))
     theta_exit = np.arcsin(np.clip(s3, -1.0, 1.0))
+    rise1 = s * np.tan(np.arcsin(np.clip(s1, -1.0, 1.0)))
+    rise2 = s * np.tan(np.arcsin(np.clip(s2, -1.0, 1.0)))
+    rise3 = s * np.tan(theta_exit)
 
-    x1 = x1c + offsets[None, :] / math.cos(theta_inc)  # (1, nu)
-    in_front = (x1 >= 0.0) & (x1 <= entry_window)
-    x2 = x1 + s * np.tan(alpha1)
-    x3 = x2 + s * np.tan(alpha2)
-    x_clear = x3 + s * np.tan(theta_exit)
-    inside = (
-        in_front
-        & (x2 >= 0.0)
-        & (x2 <= length)
-        & (x3 >= 0.0)
-        & (x3 <= length)
-        & ~((x_clear > 0.0) & (x_clear < length))
-    )
+    # The entry window depends on the offset alone: keep the columns in front.
+    x1 = entry_window / 2 + offsets / math.cos(theta_inc)
+    x1 = x1[(x1 >= 0.0) & (x1 <= entry_window)]
 
     # Reference ray: centre velocity through the beam axis.
     central = trace_velocity(vbar, path, beamline, particle, grating, theta_inc)
@@ -352,13 +464,73 @@ def simulate_beam(
             "central ray blocked inside the device",
             configuration={"v": vbar, "path": path.orders},
         )
-    passed = valid & inside & _pinhole_pass(
-        theta_exit, x3 - central.position, central.angle, beamline.exit_pinholes
-    )
+    pinholes = _pinhole_cuts(theta_exit, central.angle, beamline.exit_pinholes)
 
-    per_ray = path.transmission / (velocity_bins * offset_samples)
-    weights = passed.sum(axis=1) * per_ray
+    def cuts(rows, x1):
+        x2 = x1 + rise1[rows]
+        x3 = x2 + rise2[rows]
+        x_clear = x3 + rise3[rows]
+        return [
+            _Cut(x2, 0.0, length),
+            _Cut(x3, 0.0, length),
+            _Cut(x_clear, 0.0, length, gap=True),
+            *pinholes(rows, x3 - central.position),
+        ]
+
+    return velocities, _Grid(valid[:, 0], x1, cuts), path.transmission
+
+
+def simulate_beam(
+    spec: BeamSpec,
+    beamline: Beamline,
+    particle: Particle,
+    grating: Grating,
+    path: DiffractionPath | None = None,
+    velocity_bins: int = DEFAULT_VELOCITY_BINS,
+    offset_samples: int = DEFAULT_OFFSET_SAMPLES,
+) -> BeamlineResult:
+    """Propagate the beam through the triple-bounce device and the pinholes.
+
+    The incidence angle is set so the centre velocity exits at the device's
+    fixed exit angle; the downstream pinholes are centred on that ray.  Each
+    launched ray carries equal weight; transmitted rays are scaled by the
+    path's transmission rate so throughput is physically meaningful.
+    """
+    velocities, grid, transmission = _beam_grid(
+        spec, beamline, particle, grating, path, velocity_bins, offset_samples
+    )
+    per_ray = transmission / (velocity_bins * offset_samples)
+    weights = grid.row_counts() * per_ray
     return _reduce(spec, velocities, weights, weights.sum())
+
+
+def _baseline_grid(spec, beamline, particle, grating, theta_inc, order,
+                   velocity_bins, offset_samples):
+    """Velocities, grid and reflection probability of :func:`single_reflection_baseline`."""
+    _check_grid(velocity_bins, offset_samples)
+    vbar = spec.center_velocity
+    velocities, offsets = _axes(spec, beamline, velocity_bins, offset_samples)
+
+    step = _sin_step(particle, grating, velocities)[:, None]
+    s_exit = math.sin(theta_inc) + order * step
+    valid = np.abs(s_exit) <= 1.0
+    theta_exit = np.arcsin(np.clip(s_exit, -1.0, 1.0))
+
+    s_ref = math.sin(theta_inc) + order * float(_sin_step(particle, grating, vbar))
+    if abs(s_ref) > 1.0:
+        raise EmptyTransmissionError(
+            "baseline centre velocity evanescent",
+            configuration={"v": vbar, "order": order},
+        )
+    theta_ref = math.asin(s_ref)
+
+    dx = offsets / math.cos(theta_inc)  # reflection point along the plate
+    prob = grating.reflection_probabilities.get(abs(order))
+    if prob is None:
+        raise ConfigurationError(f"no reflection probability for |order| = {abs(order)}")
+
+    cuts = _pinhole_cuts(theta_exit, theta_ref, beamline.exit_pinholes)
+    return velocities, _Grid(valid[:, 0], dx, cuts), prob
 
 
 def single_reflection_baseline(
@@ -376,37 +548,12 @@ def single_reflection_baseline(
     The mirror is not enclosed between plates, so only the pinholes select;
     the exit pinholes are again centred on the centre velocity's exit ray.
     """
-    vbar = spec.center_velocity
-    velocities = np.linspace(vbar - spec.full_width / 2, vbar + spec.full_width / 2, velocity_bins)
-    offsets = np.linspace(
-        -beamline.source_pinhole.diameter / 2,
-        beamline.source_pinhole.diameter / 2,
-        offset_samples,
+    velocities, grid, prob = _baseline_grid(
+        spec, beamline, particle, grating, theta_inc, order, velocity_bins, offset_samples
     )
-
-    step = _sin_step(particle, grating, velocities)[:, None]
-    s_exit = math.sin(theta_inc) + order * step
-    valid = np.abs(s_exit) <= 1.0
-    theta_exit = np.arcsin(np.clip(s_exit, -1.0, 1.0))
-
-    s_ref = math.sin(theta_inc) + order * float(_sin_step(particle, grating, vbar))
-    if abs(s_ref) > 1.0:
-        raise EmptyTransmissionError(
-            "baseline centre velocity evanescent",
-            configuration={"v": vbar, "order": order},
-        )
-    theta_ref = math.asin(s_ref)
-
-    dx = offsets[None, :] / math.cos(theta_inc)  # reflection point along the plate
-    prob = grating.reflection_probabilities.get(abs(order))
-    if prob is None:
-        raise ConfigurationError(f"no reflection probability for |order| = {abs(order)}")
-
-    passed = valid & _pinhole_pass(theta_exit, dx, theta_ref, beamline.exit_pinholes)
     per_ray = prob / (velocity_bins * offset_samples)
-    weights = passed.sum(axis=1) * per_ray
+    weights = grid.row_counts() * per_ray
     return _reduce(spec, velocities, weights, weights.sum())
-
 
 @dataclass(frozen=True)
 class ScanRow:

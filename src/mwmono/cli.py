@@ -126,10 +126,19 @@ def main():
     """Matter-wave monochromator simulator."""
 
 
+#: Most velocities one table or scan may list.
+MAX_GRID_POINTS = 1_000_000
+
+
 def _velocity_grid(v_min, v_max, v_step):
     if v_step <= 0 or v_max < v_min:
         raise ConfigurationError("need v_step > 0 and v_max >= v_min")
-    n = int(round((v_max - v_min) / v_step))
+    steps = (v_max - v_min) / v_step
+    if not steps <= MAX_GRID_POINTS - 1:
+        raise ConfigurationError(
+            f"velocity grid {v_min}:{v_max}:{v_step} exceeds {MAX_GRID_POINTS} points"
+        )
+    n = int(round(steps))
     return [v_min + i * v_step for i in range(n + 1)]
 
 
@@ -185,11 +194,10 @@ def divergence_table(config, material, particle, theta_out_deg, order, v_center,
     any_ok = False
     for n in order_list:
         setting = MonochromatorSetting(theta_out=base.theta_out, total_order=n)
-        sign = -1 if n < 0 else 1
         for v in _velocity_grid(v_min, v_max, v_step):
             try:
                 theta = incidence_for_output(setting, p, g, v)
-                d = velocity_divergence(theta, sign * abs(n), p, g, v) if n else 0.0
+                d = velocity_divergence(theta, abs(n), p, g, v) if n else 0.0
                 rows.append([v, n, d, "ok"])
                 any_ok = True
             except BelowCutoffError:

@@ -17,6 +17,8 @@ import yaml
 from .beamline import (
     DEFAULT_OFFSET_SAMPLES,
     DEFAULT_VELOCITY_BINS,
+    MAX_OFFSET_SAMPLES,
+    MAX_VELOCITY_BINS,
     BeamSpec,
     Beamline,
     Pinhole,
@@ -110,8 +112,10 @@ SCHEMA = {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "velocity_bins": {"type": "integer", "minimum": 3},
-                "offset_samples": {"type": "integer", "minimum": 1},
+                "velocity_bins": {"type": "integer", "minimum": 3,
+                                  "maximum": MAX_VELOCITY_BINS},
+                "offset_samples": {"type": "integer", "minimum": 1,
+                                   "maximum": MAX_OFFSET_SAMPLES},
             },
         },
         "baseline": {

@@ -7,6 +7,7 @@ import pytest
 from mwmono import (
     BeamSpec,
     Beamline,
+    ConfigurationError,
     EmptyTransmissionError,
     Pinhole,
     incidence_for_output,
@@ -17,6 +18,7 @@ from mwmono import (
     trace_velocity,
     velocity_divergence,
 )
+from mwmono.beamline import MAX_OFFSET_SAMPLES, MAX_VELOCITY_BINS
 
 
 @pytest.fixture()
@@ -256,3 +258,15 @@ class TestBeamlineValidation:
     def test_pinhole_validation(self):
         with pytest.raises(ValueError):
             Pinhole(diameter=0.0, distance=1.0)
+
+
+class TestGridLimits:
+    @pytest.mark.parametrize("kernel", [simulate_beam, single_reflection_baseline])
+    @pytest.mark.parametrize("bins, samples", [
+        (MAX_VELOCITY_BINS + 1, 1), (3, MAX_OFFSET_SAMPLES + 1),
+    ])
+    def test_oversized_grid_raises(self, objs, kernel, bins, samples):
+        helium, grating, beamline = objs
+        with pytest.raises(ConfigurationError, match="exceeds the limit"):
+            kernel(BeamSpec(1000.0), beamline, helium, grating,
+                   velocity_bins=bins, offset_samples=samples)

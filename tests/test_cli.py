@@ -1,11 +1,13 @@
 import json
 import math
+import tracemalloc
 
 import pytest
 import yaml
 from click.testing import CliRunner
 
 from mwmono import RunConfig, velocity_divergence, incidence_for_output
+from mwmono.beamline import MAX_OFFSET_SAMPLES, MAX_VELOCITY_BINS
 from mwmono.cli import entrypoint, main
 
 
@@ -116,6 +118,17 @@ class TestDivergenceTable:
         theta = incidence_for_output(setting, helium, grating, 1000.0)
         assert emitted == velocity_divergence(theta, 1, helium, grating, 1000.0)
 
+    def test_signed_orders_give_equal_rows(self, runner):
+        grid = ["--v-min", "500", "--v-max", "3000", "--v-step", "500"]
+        pos = invoke(runner, ["divergence-table", "--orders", "1,2,3"] + grid).output
+        neg = invoke(runner, ["divergence-table", "--orders", "-1,-2,-3"] + grid).output
+        pos_rows = [line.split(",") for line in pos.strip().split("\n")[1:]]
+        neg_rows = [line.split(",") for line in neg.strip().split("\n")[1:]]
+        assert len(pos_rows) == len(neg_rows) == 18
+        for (v, n, d, status), (v_neg, n_neg, d_neg, status_neg) in zip(pos_rows, neg_rows):
+            assert (v_neg, int(n_neg), d_neg, status_neg) == (v, -int(n), d, status)
+        assert any(row[3] == "ok" for row in pos_rows)
+
 
 class TestPaths:
     def test_census_columns_and_groups(self, runner):
@@ -195,3 +208,26 @@ class TestSimulateAndScan:
 
     def test_infeasible_simulate_exits_3(self):
         assert entrypoint(["simulate", "--v-center", "290", "--v-width", "20"]) == 3
+
+
+class TestGridBounds:
+    @pytest.mark.parametrize("command", ["incidence-table", "divergence-table", "scan"])
+    def test_tiny_step_exits_2_without_allocating(self, command):
+        tracemalloc.start()
+        try:
+            code = entrypoint([command, "--v-step", "1e-9"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert peak < 5_000_000
+
+    @pytest.mark.parametrize("key, limit", [
+        ("velocity_bins", MAX_VELOCITY_BINS), ("offset_samples", MAX_OFFSET_SAMPLES),
+    ])
+    def test_oversized_sampling_exits_2(self, tmp_path, key, limit):
+        cfg = tmp_path / "big.yaml"
+        cfg.write_text(f"sampling:\n  {key}: {limit + 1}\n")
+        assert entrypoint(["simulate", "--config", str(cfg)]) == 2
+        cfg.write_text(f"sampling:\n  {key}: {limit}\n")
+        assert RunConfig.from_file(cfg).to_dict()["sampling"][key] == limit

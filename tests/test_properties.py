@@ -1,22 +1,29 @@
 """Property-based checks of the diffraction relations."""
 
+import dataclasses
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from mwmono import (
+    BeamSpec,
     BelowCutoffError,
     EvanescentOrderError,
     GrazingSingularityError,
     Grating,
+    MonochromatorError,
     MonochromatorSetting,
     Particle,
+    Pinhole,
+    RunConfig,
     de_broglie_wavelength,
     diffraction_angle,
     incidence_for_output,
     velocity_divergence,
 )
+from mwmono.beamline import BASELINE_ORDER, BASELINE_THETA_INC, _baseline_grid, _beam_grid
 from mwmono.diffraction import HBAR
 
 HELIUM = Particle(mass=6.6464731e-27, name="helium-4")
@@ -123,3 +130,40 @@ def test_order_steps_are_monotone_in_sin_space(theta, v):
             sines.append(None)
     present = [s for s in sines if s is not None]
     assert all(a < b for a, b in zip(present, present[1:]))
+
+
+diameters = st.floats(min_value=-12.0, max_value=3.0).map(lambda e: 10.0 ** e)
+
+
+@settings(max_examples=150, deadline=None)
+@given(v=st.floats(min_value=300.0, max_value=5000.0),
+       nv=st.integers(min_value=3, max_value=400), nu=st.integers(min_value=1, max_value=80),
+       source=diameters, exits=st.tuples(diameters, diameters) | st.just((1e3, 1e3)),
+       theta_out_deg=st.floats(min_value=60.0, max_value=89.0),
+       length_mm=st.floats(min_value=10.0, max_value=120.0))
+def test_row_counts_match_every_cell(v, nv, nu, source, exits, theta_out_deg, length_mm):
+    # Rows settled from their two end columns must count exactly the cells
+    # the same cut expressions pass when every column is evaluated.  The
+    # exit angle and plate length vary so that the exit clearance cuts too,
+    # and wide-open exit pinholes leave the device cuts to decide alone.
+    cfg = RunConfig.from_dict({"setting": {"theta_out_deg": theta_out_deg},
+                               "device": {"length_mm": length_mm}})
+    bl = cfg.beamline()
+    bl = dataclasses.replace(
+        bl,
+        source_pinhole=Pinhole(source, bl.source_pinhole.distance),
+        exit_pinholes=tuple(Pinhole(d, p.distance) for d, p in zip(exits, bl.exit_pinholes)),
+    )
+    spec = BeamSpec(v)
+    p, g = cfg.particle(), cfg.grating()
+    builds = [
+        lambda: _beam_grid(spec, bl, p, g, None, nv, nu),
+        lambda: _baseline_grid(spec, bl, p, g, BASELINE_THETA_INC, BASELINE_ORDER, nv, nu),
+    ]
+    for build in builds:
+        try:
+            _, grid, _ = build()
+        except MonochromatorError:
+            continue
+        every = np.where(grid.valid, grid.cell_counts(slice(None)), 0)
+        assert np.array_equal(grid.row_counts(), every)
