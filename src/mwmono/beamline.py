@@ -83,11 +83,8 @@ class BeamSpec:
 
     center_velocity: float  # m/s
     full_width: float = 500.0  # m/s
-    distribution: str = "rectangular"
 
     def __post_init__(self):
-        if self.distribution != "rectangular":
-            raise ValueError(f"unsupported distribution {self.distribution!r}")
         if not self.full_width > 0:
             raise ValueError(f"full_width must be positive, got {self.full_width}")
         if not self.center_velocity > self.full_width / 2:
@@ -358,6 +355,8 @@ def _pinhole_cuts(theta_exit, theta_ref, pinholes):
 
 
 def _check_grid(velocity_bins: int, offset_samples: int) -> None:
+    if velocity_bins < 3 or offset_samples < 1:
+        raise ConfigurationError(f"grid {velocity_bins} x {offset_samples} is below 3 x 1")
     if velocity_bins > MAX_VELOCITY_BINS or offset_samples > MAX_OFFSET_SAMPLES:
         raise ConfigurationError(
             f"grid {velocity_bins} x {offset_samples} exceeds the limit "
@@ -581,13 +580,19 @@ def scan_speed_ratio(
     """Speed ratio before and after the device across centre velocities.
 
     The incidence angle is re-solved per centre velocity.  Rows where no
-    weight is transmitted (or the velocity is below cutoff) are emitted with
-    a flag instead of being dropped.
+    weight is transmitted, the velocity is below cutoff or the centre is not
+    above half the width are emitted with a flag instead of being dropped.
     """
     rows = []
     for vbar in v_centers:
         vbar = float(vbar)
-        spec = BeamSpec(center_velocity=vbar, full_width=full_width)
+        try:
+            spec = BeamSpec(center_velocity=vbar, full_width=full_width)
+        except ValueError:
+            if not full_width > 0:
+                raise
+            rows.append(ScanRow(vbar, vbar / full_width, None, None, None, "invalid_center"))
+            continue
         flag = ""
         final = throughput = None
         try:

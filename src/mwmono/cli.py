@@ -12,6 +12,7 @@ byte-stable for identical configs.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
@@ -21,17 +22,15 @@ import click
 
 from . import __version__
 from .beamline import scan_speed_ratio, simulate_beam, single_reflection_baseline
-from .config import RunConfig, dump_default_config
+from .config import RunConfig, _merge, dump_default_config, read_config
 from .diffraction import (
     MonochromatorSetting,
-    cutoff_velocity,
     incidence_for_output,
     velocity_divergence,
 )
 from .errors import (
     BelowCutoffError,
     ConfigurationError,
-    EmptyTransmissionError,
     EvanescentOrderError,
     GrazingSingularityError,
     MonochromatorError,
@@ -42,31 +41,8 @@ EXIT_CONFIG_ERROR = 2
 EXIT_INFEASIBLE = 3
 
 
-def _load_config(config, material, particle, theta_out_deg, order, v_center, v_width):
-    override: dict = {}
-    if material is not None:
-        override["material"] = material
-    if particle is not None:
-        override["particle"] = particle
-    if theta_out_deg is not None:
-        override.setdefault("setting", {})["theta_out_deg"] = theta_out_deg
-    if order is not None:
-        override.setdefault("setting", {})["total_order"] = order
-    if v_center is not None:
-        override.setdefault("beam", {})["v_center_mps"] = v_center
-    if v_width is not None:
-        override.setdefault("beam", {})["v_width_mps"] = v_width
-    base = RunConfig.from_file(config).to_dict() if config else {}
-    merged = base
-    for key, value in override.items():
-        if isinstance(value, dict):
-            merged.setdefault(key, {}).update(value)
-        else:
-            merged[key] = value
-    return RunConfig.from_dict(merged)
-
-
 def common_options(f):
+    """Config file, flag overrides and output options; ``f`` receives the validated config."""
     options = [
         click.option("--config", type=click.Path(exists=True, dir_okay=False), default=None,
                      help="YAML or JSON config file."),
@@ -82,9 +58,21 @@ def common_options(f):
         click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv",
                      show_default=True, help="Output format."),
     ]
+
+    @functools.wraps(f)
+    def command(config, material, particle, theta_out_deg, order, v_center, v_width, **rest):
+        flags = {"material": material, "particle": particle,
+                 "setting": {"theta_out_deg": theta_out_deg, "total_order": order},
+                 "beam": {"v_center_mps": v_center, "v_width_mps": v_width}}
+        override = {key: {k: v for k, v in value.items() if v is not None}
+                    if isinstance(value, dict) else value
+                    for key, value in flags.items() if value is not None}
+        raw = read_config(config) if config else {}
+        return f(RunConfig.from_dict(_merge(raw, override)), **rest)
+
     for option in reversed(options):
-        f = option(f)
-    return f
+        command = option(command)
+    return command
 
 
 def _emit(text: str, out: str | None):
@@ -131,91 +119,58 @@ MAX_GRID_POINTS = 1_000_000
 
 
 def _velocity_grid(v_min, v_max, v_step):
-    if v_step <= 0 or v_max < v_min:
-        raise ConfigurationError("need v_step > 0 and v_max >= v_min")
-    steps = (v_max - v_min) / v_step
-    if not steps <= MAX_GRID_POINTS - 1:
+    steps = (v_max - v_min) / v_step if 0 < v_step < math.inf else math.nan
+    if not (0 < v_min <= v_max < math.inf and steps <= MAX_GRID_POINTS - 1):
         raise ConfigurationError(
-            f"velocity grid {v_min}:{v_max}:{v_step} exceeds {MAX_GRID_POINTS} points"
+            f"velocity grid {v_min}:{v_max}:{v_step} needs finite 0 < v_min <= v_max, "
+            f"v_step > 0 and at most {MAX_GRID_POINTS} points"
         )
     n = int(round(steps))
     return [v_min + i * v_step for i in range(n + 1)]
 
 
-@main.command("incidence-table")
-@common_options
-@click.option("--orders", default="1,2,3", show_default=True,
-              help="Comma-separated list of total orders.")
-@click.option("--v-min", type=float, default=300.0, show_default=True)
-@click.option("--v-max", type=float, default=5000.0, show_default=True)
-@click.option("--v-step", type=float, default=100.0, show_default=True)
-def incidence_table(config, material, particle, theta_out_deg, order, v_center, v_width,
-                    out, fmt, orders, v_min, v_max, v_step):
-    """Incidence angle versus velocity for each total order."""
-    cfg = _load_config(config, material, particle, theta_out_deg, order, v_center, v_width)
-    p = cfg.particle()
-    g = cfg.grating()
-    base = cfg.setting()
-    order_list = [int(tok) for tok in orders.split(",") if tok.strip()]
-
-    rows = []
-    any_ok = False
-    for n in order_list:
-        setting = MonochromatorSetting(theta_out=base.theta_out, total_order=n)
-        for v in _velocity_grid(v_min, v_max, v_step):
-            try:
-                theta = incidence_for_output(setting, p, g, v)
-                rows.append([v, n, math.degrees(theta), "ok"])
-                any_ok = True
-            except BelowCutoffError:
-                rows.append([v, n, None, "below_cutoff"])
-    _emit(_table_text(fmt, ["velocity_mps", "order", "theta_inc_deg", "status"], rows), out)
-    if not any_ok:
-        raise SystemExit(EXIT_INFEASIBLE)
+def _order_table(name, column, value, doc):
+    """Register a table command filling ``column`` of each (order, velocity) row
+    with ``value(theta_inc, |order|, particle, grating, v)``; exit 3 if no row is ok."""
+    @main.command(name, help=doc)
+    @common_options
+    @click.option("--orders", default="1,2,3", show_default=True,
+                  help="Comma-separated list of total orders.")
+    @click.option("--v-min", type=float, default=300.0, show_default=True)
+    @click.option("--v-max", type=float, default=5000.0, show_default=True)
+    @click.option("--v-step", type=float, default=100.0, show_default=True)
+    def table(cfg, out, fmt, orders, v_min, v_max, v_step):
+        p, g, base = cfg.particle(), cfg.grating(), cfg.setting()
+        velocities = _velocity_grid(v_min, v_max, v_step)
+        rows = []
+        for n in [int(tok) for tok in orders.split(",") if tok.strip()]:
+            setting = MonochromatorSetting(theta_out=base.theta_out, total_order=n)
+            for v in velocities:
+                try:
+                    theta = incidence_for_output(setting, p, g, v)
+                    rows.append([v, n, value(theta, abs(n), p, g, v), "ok"])
+                except BelowCutoffError:
+                    rows.append([v, n, None, "below_cutoff"])
+                except (EvanescentOrderError, GrazingSingularityError) as exc:
+                    rows.append([v, n, None, type(exc).__name__])
+        _emit(_table_text(fmt, ["velocity_mps", "order", column, "status"], rows), out)
+        if all(row[3] != "ok" for row in rows):
+            raise SystemExit(EXIT_INFEASIBLE)
 
 
-@main.command("divergence-table")
-@common_options
-@click.option("--orders", default="1,2,3", show_default=True,
-              help="Comma-separated list of total orders.")
-@click.option("--v-min", type=float, default=300.0, show_default=True)
-@click.option("--v-max", type=float, default=5000.0, show_default=True)
-@click.option("--v-step", type=float, default=100.0, show_default=True)
-def divergence_table(config, material, particle, theta_out_deg, order, v_center, v_width,
-                     out, fmt, orders, v_min, v_max, v_step):
-    """Velocity divergence of the exit angle at the matched incidence angle."""
-    cfg = _load_config(config, material, particle, theta_out_deg, order, v_center, v_width)
-    p = cfg.particle()
-    g = cfg.grating()
-    base = cfg.setting()
-    order_list = [int(tok) for tok in orders.split(",") if tok.strip()]
-
-    rows = []
-    any_ok = False
-    for n in order_list:
-        setting = MonochromatorSetting(theta_out=base.theta_out, total_order=n)
-        for v in _velocity_grid(v_min, v_max, v_step):
-            try:
-                theta = incidence_for_output(setting, p, g, v)
-                d = velocity_divergence(theta, abs(n), p, g, v) if n else 0.0
-                rows.append([v, n, d, "ok"])
-                any_ok = True
-            except BelowCutoffError:
-                rows.append([v, n, None, "below_cutoff"])
-            except (EvanescentOrderError, GrazingSingularityError) as exc:
-                rows.append([v, n, None, type(exc).__name__])
-    _emit(_table_text(fmt, ["velocity_mps", "order", "dtheta_dv_rad_per_mps", "status"], rows), out)
-    if not any_ok:
-        raise SystemExit(EXIT_INFEASIBLE)
+_order_table("incidence-table", "theta_inc_deg", lambda theta, *_: math.degrees(theta),
+             "Incidence angle versus velocity for each total order.")
+_order_table("divergence-table", "dtheta_dv_rad_per_mps", velocity_divergence,
+             "Velocity divergence of the exit angle at the matched incidence angle.")
 
 
 @main.command("paths")
 @common_options
 @click.option("--v", "velocity", type=float, required=True, help="Beam velocity [m/s].")
-def paths_cmd(config, material, particle, theta_out_deg, order, v_center, v_width,
-              out, fmt, velocity):
+def paths_cmd(cfg, out, fmt, velocity):
     """Bounce-path table (orders, angles, geometry band, transmission) at one velocity."""
-    cfg = _load_config(config, material, particle, theta_out_deg, order, v_center, v_width)
+    if not 0 < velocity < math.inf:
+        raise ConfigurationError(f"--v must be a positive finite velocity, got {velocity}")
     p = cfg.particle()
     g = cfg.grating()
     setting = cfg.setting()
@@ -248,22 +203,17 @@ _PATH_HEADER = [
 
 @main.command("simulate")
 @common_options
-def simulate_cmd(config, material, particle, theta_out_deg, order, v_center, v_width, out, fmt):
+def simulate_cmd(cfg, out, fmt):
     """Full beamline simulation at the configured centre velocity (JSON)."""
-    cfg = _load_config(config, material, particle, theta_out_deg, order, v_center, v_width)
-    try:
-        result = simulate_beam(
-            cfg.beam(), cfg.beamline(), cfg.particle(), cfg.grating(),
-            velocity_bins=cfg.velocity_bins, offset_samples=cfg.offset_samples,
-        )
-        baseline = single_reflection_baseline(
-            cfg.beam(), cfg.beamline(), cfg.particle(), cfg.grating(),
-            theta_inc=cfg.baseline_theta_inc, order=cfg.baseline_order,
-            velocity_bins=cfg.velocity_bins, offset_samples=cfg.offset_samples,
-        )
-    except (EmptyTransmissionError, BelowCutoffError) as exc:
-        click.echo(f"infeasible: {exc}", err=True)
-        raise SystemExit(EXIT_INFEASIBLE)
+    result = simulate_beam(
+        cfg.beam(), cfg.beamline(), cfg.particle(), cfg.grating(),
+        velocity_bins=cfg.velocity_bins, offset_samples=cfg.offset_samples,
+    )
+    baseline = single_reflection_baseline(
+        cfg.beam(), cfg.beamline(), cfg.particle(), cfg.grating(),
+        theta_inc=cfg.baseline_theta_inc, order=cfg.baseline_order,
+        velocity_bins=cfg.velocity_bins, offset_samples=cfg.offset_samples,
+    )
     payload = result.to_dict()
     payload["baseline_speed_ratio"] = baseline.speed_ratio
     _emit(_json_text(payload), out)
@@ -274,10 +224,8 @@ def simulate_cmd(config, material, particle, theta_out_deg, order, v_center, v_w
 @click.option("--v-min", type=float, default=300.0, show_default=True)
 @click.option("--v-max", type=float, default=5000.0, show_default=True)
 @click.option("--v-step", type=float, default=100.0, show_default=True)
-def scan_cmd(config, material, particle, theta_out_deg, order, v_center, v_width,
-             out, fmt, v_min, v_max, v_step):
+def scan_cmd(cfg, out, fmt, v_min, v_max, v_step):
     """Speed-ratio scan over centre velocities (CSV)."""
-    cfg = _load_config(config, material, particle, theta_out_deg, order, v_center, v_width)
     rows_out = scan_speed_ratio(
         _velocity_grid(v_min, v_max, v_step),
         cfg.beam().full_width,

@@ -1,145 +1,35 @@
-"""Run configuration: schema, defaults, file ingestion.
+"""Run configuration: defaults, validation, file ingestion.
 
 Config files are YAML (JSON is a YAML subset and therefore also accepted).
 External units are degrees, millimetres and m/s; everything is converted to
-SI on construction of the domain objects.
+SI on construction of the domain objects.  A config's shape is checked
+against ``DEFAULT_CONFIG`` itself; its ranges are checked by building the
+domain objects.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import jsonschema
 import yaml
 
 from .beamline import (
     DEFAULT_OFFSET_SAMPLES,
     DEFAULT_VELOCITY_BINS,
-    MAX_OFFSET_SAMPLES,
-    MAX_VELOCITY_BINS,
     BeamSpec,
     Beamline,
     Pinhole,
+    _check_grid,
 )
 from .diffraction import Grating, MonochromatorSetting, Particle
 from .errors import ConfigurationError
 from .geometry import DeviceGeometry
 from .presets import get_material, get_particle
 
-import math
-
-SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {
-        "particle": {
-            "oneOf": [
-                {"type": "string"},
-                {
-                    "type": "object",
-                    "additionalProperties": False,
-                    "required": ["mass_kg"],
-                    "properties": {
-                        "mass_kg": {"type": "number", "exclusiveMinimum": 0},
-                        "name": {"type": "string"},
-                    },
-                },
-            ]
-        },
-        "material": {
-            "oneOf": [
-                {"type": "string"},
-                {
-                    "type": "object",
-                    "additionalProperties": False,
-                    "required": ["period_angstrom", "reflection_probabilities"],
-                    "properties": {
-                        "period_angstrom": {"type": "number", "exclusiveMinimum": 0},
-                        "reflection_probabilities": {
-                            "type": "object",
-                            "patternProperties": {
-                                "^[0-9]+$": {
-                                    "type": "number",
-                                    "exclusiveMinimum": 0,
-                                    "maximum": 1,
-                                }
-                            },
-                            "additionalProperties": False,
-                        },
-                    },
-                },
-            ]
-        },
-        "setting": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "theta_out_deg": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 90},
-                "total_order": {"type": "integer"},
-            },
-        },
-        "device": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "separation_mm": {"type": "number", "exclusiveMinimum": 0},
-                "length_mm": {"type": "number", "exclusiveMinimum": 0},
-            },
-        },
-        "beamline": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "source_pinhole": {"$ref": "#/$defs/pinhole"},
-                "exit_pinholes": {
-                    "type": "array",
-                    "items": {"$ref": "#/$defs/pinhole"},
-                    "minItems": 1,
-                },
-            },
-        },
-        "beam": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "v_center_mps": {"type": "number", "exclusiveMinimum": 0},
-                "v_width_mps": {"type": "number", "exclusiveMinimum": 0},
-            },
-        },
-        "sampling": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "velocity_bins": {"type": "integer", "minimum": 3,
-                                  "maximum": MAX_VELOCITY_BINS},
-                "offset_samples": {"type": "integer", "minimum": 1,
-                                   "maximum": MAX_OFFSET_SAMPLES},
-            },
-        },
-        "baseline": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "theta_inc_deg": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 90},
-                "order": {"type": "integer"},
-            },
-        },
-    },
-    "$defs": {
-        "pinhole": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["diameter_mm", "distance_mm"],
-            "properties": {
-                "diameter_mm": {"type": "number", "exclusiveMinimum": 0},
-                "distance_mm": {"type": "number", "exclusiveMinimum": 0},
-            },
-        }
-    },
-}
-
+#: Each default also fixes its value's type: a float accepts any number, an int only integers.
 DEFAULT_CONFIG: dict = {
     "particle": "helium-4",
     "material": "si111-h1x1",
@@ -171,6 +61,61 @@ def _merge(base: dict, override: dict) -> dict:
     return out
 
 
+#: Shapes of the mapping forms of ``particle`` and ``material``, whose
+#: defaults are preset names.  A custom particle's ``name`` may be omitted;
+#: the empty probability shape takes order magnitudes written in digits.
+_MAPPING_FORMS = {
+    "particle": {"mass_kg": 1.0, "name": ""},
+    "material": {"period_angstrom": 1.0, "reflection_probabilities": {}},
+}
+_KINDS = {dict: (dict, "a mapping"), list: (list, "a non-empty list"),
+          float: ((int, float), "a number"), int: (int, "an integer"), str: (str, "a string")}
+
+
+def _invalid(path: str, reason) -> ConfigurationError:
+    return ConfigurationError(f"invalid config at {path}: {reason}")
+
+
+def _check_shape(value, template, path: str = "") -> None:
+    """Raise unless ``value`` has the keys and value types of ``template``.
+
+    Each list item is shaped like the template's first; booleans are not
+    numbers, integers must be ``int`` and numbers finite.
+    """
+    where = path or "<root>"
+    if isinstance(template, str) and isinstance(value, dict):
+        template = _MAPPING_FORMS.get(path, template)
+    kind, name = _KINDS[type(template)]
+    if isinstance(value, bool) or not isinstance(value, kind) or value == []:
+        raise _invalid(where, f"expected {name}, got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise _invalid(where, f"expected a finite number, got {value!r}")
+    if isinstance(value, list):
+        for i, item in enumerate(value):
+            _check_shape(item, template[0], f"{path}/{i}")
+    elif isinstance(value, dict):
+        template = template or {k: 1.0 for k in value if isinstance(k, str) and k.isdecimal()}
+        wrong = [f"unknown key {key!r}" for key in value if key not in template]
+        wrong += [f"missing key {key!r}" for key in template if key not in value and key != "name"]
+        if wrong:
+            raise _invalid(where, wrong[0])
+        for key, item in value.items():
+            _check_shape(item, template[key], f"{path}/{key}" if path else str(key))
+
+
+def read_config(path: str | Path) -> dict:
+    """The mapping in a YAML or JSON file, unvalidated; an empty file gives {}."""
+    try:
+        raw = yaml.safe_load(Path(path).read_text())
+    except (OSError, yaml.YAMLError) as exc:
+        raise ConfigurationError(f"cannot read config {path}: {exc}") from None
+    if raw is None:
+        return {}
+    if not isinstance(raw, dict):
+        raise ConfigurationError(f"config {path} must be a mapping")
+    return raw
+
+
 @dataclass
 class RunConfig:
     """Validated configuration with factories for the domain objects."""
@@ -179,25 +124,25 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
+        """Merge ``raw`` over the defaults, check its shape, then build every domain object."""
         merged = _merge(DEFAULT_CONFIG, raw or {})
-        try:
-            jsonschema.validate(merged, SCHEMA)
-        except jsonschema.ValidationError as exc:
-            path = "/".join(str(p) for p in exc.absolute_path) or "<root>"
-            raise ConfigurationError(f"invalid config at {path}: {exc.message}") from None
-        return cls(data=merged)
+        _check_shape(merged, DEFAULT_CONFIG)
+        cfg = cls(data=merged)
+        for section, build in [
+            ("particle", cfg.particle), ("material", cfg.grating), ("setting", cfg.setting),
+            ("device", cfg.device), ("beamline", cfg.beamline), ("beam", cfg.beam),
+            ("sampling", lambda: _check_grid(cfg.velocity_bins, cfg.offset_samples)),
+            ("baseline/theta_inc_deg", lambda: cfg.baseline_theta_inc),
+        ]:
+            try:
+                build()
+            except (ValueError, ConfigurationError) as exc:
+                raise _invalid(section, exc) from None
+        return cfg
 
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":
-        try:
-            raw = yaml.safe_load(Path(path).read_text())
-        except (OSError, yaml.YAMLError) as exc:
-            raise ConfigurationError(f"cannot read config {path}: {exc}") from None
-        if raw is None:
-            raw = {}
-        if not isinstance(raw, dict):
-            raise ConfigurationError(f"config {path} must be a mapping")
-        return cls.from_dict(raw)
+        return cls.from_dict(read_config(path))
 
     def to_dict(self) -> dict:
         return json.loads(json.dumps(self.data))
@@ -255,7 +200,10 @@ class RunConfig:
 
     @property
     def baseline_theta_inc(self) -> float:
-        return math.radians(self.data["baseline"]["theta_inc_deg"])
+        theta = self.data["baseline"]["theta_inc_deg"]
+        if not 0 < theta < 90:
+            raise ValueError(f"theta_inc_deg must be in (0, 90), got {theta}")
+        return math.radians(theta)
 
     @property
     def baseline_order(self) -> int:

@@ -106,7 +106,8 @@ def de_broglie_wavelength(particle: Particle, v: float) -> float:
     """Matter-wave wavelength 2*pi*hbar / (m*v) of a particle at speed v."""
     if not v > 0:
         raise ValueError(f"velocity must be positive, got {v}")
-    return 2.0 * math.pi * HBAR / (particle.mass * v)
+    momentum = particle.mass * v  # zero only if the product underflows
+    return 2.0 * math.pi * HBAR / momentum if momentum else math.inf
 
 
 def wavelength_ratio(particle: Particle, grating: Grating, v: float) -> float:

@@ -92,15 +92,12 @@ class FeasibilityBand:
 
 def path_transmission(path: DiffractionPath, grating: Grating) -> float:
     """Product of the per-bounce diffraction populations along the path."""
-    probs = grating.reflection_probabilities
-    result = 1.0
-    for n in path.orders:
-        if abs(n) not in probs:
-            raise ConfigurationError(
-                f"no reflection probability for |order| = {abs(n)} "
-                f"(grating defines orders up to {grating.max_order})"
-            )
-        result *= probs[abs(n)]
+    result = _try_transmission(path.orders, grating)
+    if result is None:
+        raise ConfigurationError(
+            f"no reflection probability for an order of {path.orders} "
+            f"(grating defines orders up to {grating.max_order})"
+        )
     return result
 
 

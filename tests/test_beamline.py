@@ -237,8 +237,6 @@ class TestBeamSpec:
             BeamSpec(center_velocity=200.0, full_width=500.0)
         with pytest.raises(ValueError):
             BeamSpec(center_velocity=1000.0, full_width=0.0)
-        with pytest.raises(ValueError):
-            BeamSpec(center_velocity=1000.0, full_width=100.0, distribution="gaussian")
 
     def test_input_speed_ratio(self):
         assert BeamSpec(1000.0, 500.0).speed_ratio == 2.0

@@ -5,6 +5,7 @@ import tracemalloc
 import pytest
 import yaml
 from click.testing import CliRunner
+from hypothesis import example, given, settings, strategies as st
 
 from mwmono import RunConfig, velocity_divergence, incidence_for_output
 from mwmono.beamline import MAX_OFFSET_SAMPLES, MAX_VELOCITY_BINS
@@ -42,6 +43,36 @@ class TestConfig:
 
     def test_unknown_preset_exits_2(self):
         assert entrypoint(["paths", "--v", "1000", "--material", "nope"]) == 2
+
+    @pytest.mark.parametrize("text, path", [
+        ("bogus: 1", "<root>"),
+        ("setting: {bogus: 1}", "setting"),
+        ("beamline: {exit_pinholes: [{diameter_mm: 10, distance_mm: 500, bogus: 1}]}",
+         "beamline/exit_pinholes/0"),
+        ("device: {separation_mm: five}", "device/separation_mm"),
+        ("device: {length_mm: true}", "device/length_mm"),
+        ("beam: {v_width_mps: 0}", "beam"),
+        ("device: {separation_mm: -1.0}", "device"),
+        ("setting: {theta_out_deg: 90}", "setting"),
+        ("baseline: {theta_inc_deg: 0}", "baseline/theta_inc_deg"),
+        ("beamline: {exit_pinholes: []}", "beamline/exit_pinholes"),
+        ("beamline: {exit_pinholes: [{diameter_mm: 10}]}", "beamline/exit_pinholes/0"),
+        ("material: {period_angstrom: 3.383, reflection_probabilities: {x: 0.5}}", "material"),
+        ("material: {period_angstrom: 3.383, reflection_probabilities: {'1': 1.5}}", "material"),
+        ("sampling: {velocity_bins: 2}", "sampling"),
+        ("sampling: {offset_samples: 10002}", "sampling"),
+        # Values that a JSON-schema type and range check lets through.
+        ("sampling: {velocity_bins: 201.0}", "sampling/velocity_bins"),
+        ("beam: {v_center_mps: .nan}", "beam/v_center_mps"),
+        ("beam: {v_center_mps: .inf}", "beam/v_center_mps"),
+        ("beamline: {exit_pinholes: [{diameter_mm: 10, distance_mm: 1000},"
+         " {diameter_mm: 10, distance_mm: 500}]}", "beamline"),
+    ])
+    def test_invalid_config_names_its_path(self, tmp_path, capsys, text, path):
+        cfg = tmp_path / "bad.yaml"
+        cfg.write_text(text + "\n")
+        assert entrypoint(["simulate", "--config", str(cfg)]) == 2
+        assert f"invalid config at {path}" in capsys.readouterr().err
 
 
 class TestIncidenceTable:
@@ -231,3 +262,59 @@ class TestGridBounds:
         assert entrypoint(["simulate", "--config", str(cfg)]) == 2
         cfg.write_text(f"sampling:\n  {key}: {limit}\n")
         assert RunConfig.from_file(cfg).to_dict()["sampling"][key] == limit
+
+
+#: Flag values: anything a float flag parses to, and a band of plausible velocities.
+flag_values = st.floats() | st.floats(min_value=50.0, max_value=6000.0)
+
+
+@pytest.fixture(scope="module")
+def small_config(tmp_path_factory):
+    path = tmp_path_factory.mktemp("config") / "small.yaml"
+    path.write_text("sampling: {velocity_bins: 201, offset_samples: 21}\n")
+    return str(path)
+
+
+class TestInputContract:
+    @pytest.mark.parametrize("args", [
+        ["paths", "--v", "0"],
+        ["paths", "--v", "nan"],
+        ["incidence-table", "--v-min", "-100"],
+        ["divergence-table", "--v-min", "0"],
+    ])
+    def test_bad_velocity_flags_exit_2(self, args):
+        assert entrypoint(args) == 2
+
+    def test_scan_flags_invalid_centres(self, runner, small_config):
+        result = invoke(runner, [
+            "scan", "--config", small_config, "--v-min", "100", "--v-max", "300",
+        ])
+        assert result.exit_code == 0
+        rows = [line.split(",") for line in result.output.strip().split("\n")[1:]]
+        assert [row[5] for row in rows] == ["invalid_center", "invalid_center", ""]
+        assert rows[0] == ["100.0", "0.2", "", "", "", "invalid_center"]
+
+    @settings(max_examples=300, deadline=None)
+    @given(command=st.sampled_from(["simulate", "paths", "incidence-table",
+                                    "divergence-table", "scan"]),
+           a=flag_values, b=flag_values, theta=st.none() | flag_values,
+           order=st.none() | st.integers(min_value=-4, max_value=4))
+    # Regressions: an infinite step makes the grid point 1 + 0 * inf = nan, and
+    # a subnormal velocity underflows the momentum m * v to zero.
+    @example(command="incidence-table", a=1.0, b=math.inf, theta=None, order=None)
+    @example(command="simulate", a=2.2e-309, b=2.2e-309, theta=None, order=None)
+    def test_every_flag_value_exits_0_2_or_3(self, small_config, command, a, b, theta, order):
+        argv = {
+            "simulate": ["simulate", f"--v-center={a!r}", f"--v-width={b!r}"],
+            "paths": ["paths", f"--v={a!r}"],
+            "incidence-table": ["incidence-table", "--orders=1", f"--v-min={a!r}",
+                                f"--v-max={a!r}", f"--v-step={b!r}"],
+            "divergence-table": ["divergence-table", "--orders=1", f"--v-min={a!r}",
+                                 f"--v-max={a!r}", f"--v-step={b!r}"],
+            "scan": ["scan", f"--v-min={a!r}", f"--v-max={a!r}", f"--v-width={b!r}"],
+        }[command]
+        if theta is not None:
+            argv.append(f"--theta-out-deg={theta!r}")
+        if order is not None:
+            argv.append(f"--order={order}")
+        assert entrypoint(argv + ["--config", small_config]) in {0, 2, 3}

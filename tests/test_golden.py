@@ -1,7 +1,9 @@
 """The CLI reproduces stored outputs of the README commands byte for byte.
 
-The files under ``tests/golden/`` were written by the full-grid kernels
-before rows were settled from their end columns.  Regenerate one only for
+The scan and simulate files under ``tests/golden/`` were written by the
+full-grid kernels before rows were settled from their end columns; the
+table, path and default-config files by the CLI before its config layer
+was reduced to one merge and one validation.  Regenerate one only for
 an intended change of output, e.g.
 ``mwmono scan --v-min 300 --v-max 5000 --v-step 100 > tests/golden/scan.csv``.
 """
@@ -21,6 +23,11 @@ README_SCAN = ["scan", "--v-min", "300", "--v-max", "5000", "--v-step", "100"]
     (README_SCAN, "scan.csv"),
     (README_SCAN + ["--format", "json"], "scan.json"),
     (["simulate", "--v-center", "1000", "--format", "json"], "simulate_1000.json"),
+    (["incidence-table", "--orders", "1,2,3", "--v-min", "300", "--v-max", "5000",
+      "--v-step", "100"], "incidence_table.csv"),
+    (["divergence-table", "--orders", "1,2,3"], "divergence_table.csv"),
+    (["paths", "--v", "1000"], "paths_1000.csv"),
+    (["--dump-default-config"], "default_config.yaml"),
 ])
 def test_cli_output_matches_golden(args, name):
     result = CliRunner().invoke(main, args, catch_exceptions=False)
