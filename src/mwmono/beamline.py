@@ -52,12 +52,7 @@ from .diffraction import (
     incidence_for_output,
 )
 from .errors import BelowCutoffError, ConfigurationError, EmptyTransmissionError
-from .geometry import (
-    DeviceGeometry,
-    DiffractionPath,
-    enumerate_paths,
-    feasibility_band,
-)
+from .geometry import DeviceGeometry, DiffractionPath, enumerate_paths
 
 DEFAULT_VELOCITY_BINS = 2001
 DEFAULT_OFFSET_SAMPLES = 201
@@ -232,10 +227,11 @@ def select_path(
     """
     paths = enumerate_paths(setting, particle, grating, v, max_order=max_order)
     ratio = device.length_ratio
+    width = math.tan(setting.theta_out)  # of every path's band; see feasibility_band
     feasible = [
         p
         for p in paths
-        if p.transmission is not None and feasibility_band(p, setting).contains(ratio)
+        if p.transmission is not None and p.geometry_ratio < ratio < p.geometry_ratio + width
     ]
     if not feasible:
         raise EmptyTransmissionError(

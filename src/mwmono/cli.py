@@ -129,12 +129,19 @@ def _velocity_grid(v_min, v_max, v_step):
     return [v_min + i * v_step for i in range(n + 1)]
 
 
+def _parse_orders(ctx, param, value):
+    try:
+        return [int(tok) for tok in value.split(",") if tok.strip()]
+    except ValueError:
+        raise click.BadParameter(f"expected comma-separated integers, got {value!r}") from None
+
+
 def _order_table(name, column, value, doc):
     """Register a table command filling ``column`` of each (order, velocity) row
     with ``value(theta_inc, |order|, particle, grating, v)``; exit 3 if no row is ok."""
     @main.command(name, help=doc)
     @common_options
-    @click.option("--orders", default="1,2,3", show_default=True,
+    @click.option("--orders", default="1,2,3", show_default=True, callback=_parse_orders,
                   help="Comma-separated list of total orders.")
     @click.option("--v-min", type=float, default=300.0, show_default=True)
     @click.option("--v-max", type=float, default=5000.0, show_default=True)
@@ -143,7 +150,7 @@ def _order_table(name, column, value, doc):
         p, g, base = cfg.particle(), cfg.grating(), cfg.setting()
         velocities = _velocity_grid(v_min, v_max, v_step)
         rows = []
-        for n in [int(tok) for tok in orders.split(",") if tok.strip()]:
+        for n in orders:
             setting = MonochromatorSetting(theta_out=base.theta_out, total_order=n)
             for v in velocities:
                 try:
@@ -179,19 +186,17 @@ def paths_cmd(cfg, out, fmt, velocity):
     except BelowCutoffError:
         _emit(_table_text(fmt, _PATH_HEADER, []), out)
         raise SystemExit(EXIT_INFEASIBLE)
-    groups = group_paths_by_geometry(paths)
-    group_of = {path.orders: i + 1 for i, grp in enumerate(groups) for path in grp.members}
-
     rows = []
-    for path in sorted(paths, key=lambda q: (q.geometry_ratio, q.orders)):
-        band = feasibility_band(path, setting)
-        rows.append([
-            path.n1, path.n2, path.n3,
-            math.degrees(path.alpha1), math.degrees(path.alpha2),
-            path.geometry_ratio, band.lower, band.upper,
-            None if path.transmission is None else 100.0 * path.transmission,
-            group_of[path.orders],
-        ])
+    for group_id, group in enumerate(group_paths_by_geometry(paths), 1):
+        for path in group.members:
+            band = feasibility_band(path, setting)
+            rows.append([
+                path.n1, path.n2, path.n3,
+                math.degrees(path.alpha1), math.degrees(path.alpha2),
+                path.geometry_ratio, band.lower, band.upper,
+                None if path.transmission is None else 100.0 * path.transmission,
+                group_id,
+            ])
     _emit(_table_text(fmt, _PATH_HEADER, rows), out)
 
 

@@ -176,7 +176,8 @@ def incidence_for_output(
     :class:`BelowCutoffError`.
     """
     n = setting.order_magnitude
-    arg = math.cos(setting.epsilon) - n * wavelength_ratio(particle, grating, v)
+    shift = n * wavelength_ratio(particle, grating, v) if n else 0.0  # 0 * inf is nan
+    arg = math.cos(setting.epsilon) - shift
     if arg < -1.0:
         raise BelowCutoffError(v, setting.total_order, cutoff_velocity(setting, particle, grating))
     theta_inc = math.asin(arg)

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import attrgetter
+from typing import NamedTuple
 
 from .diffraction import (
     Grating,
@@ -44,12 +46,12 @@ class DeviceGeometry:
         return self.length / self.separation
 
 
-@dataclass(frozen=True)
-class DiffractionPath:
+class DiffractionPath(NamedTuple):
     """One realizable (n1, n2, n3) bounce sequence at a given velocity.
 
     ``transmission`` is None when the grating has no reflection probability
-    for one of the orders involved.
+    for one of the orders involved.  A named tuple: immutable and hashable,
+    and several times cheaper to build than a frozen dataclass.
     """
 
     n1: int
@@ -92,24 +94,15 @@ class FeasibilityBand:
 
 def path_transmission(path: DiffractionPath, grating: Grating) -> float:
     """Product of the per-bounce diffraction populations along the path."""
-    result = _try_transmission(path.orders, grating)
-    if result is None:
+    probs = grating.reflection_probabilities
+    try:
+        p1, p2, p3 = (probs[abs(n)] for n in path.orders)
+    except KeyError:
         raise ConfigurationError(
             f"no reflection probability for an order of {path.orders} "
             f"(grating defines orders up to {grating.max_order})"
-        )
-    return result
-
-
-def _try_transmission(orders, grating: Grating) -> float | None:
-    probs = grating.reflection_probabilities
-    result = 1.0
-    for n in orders:
-        p = probs.get(abs(n))
-        if p is None:
-            return None
-        result *= p
-    return result
+        ) from None
+    return p1 * p2 * p3
 
 
 def enumerate_paths(
@@ -131,35 +124,38 @@ def enumerate_paths(
     total = setting.order_magnitude
     step = wavelength_ratio(particle, grating, v)
     sin_inc = math.sin(theta_inc)
+    probs = grating.reflection_probabilities
+    # Sine shift and reflection probability of every order a bounce can take.
+    # The specular shift is 0.0, not 0 * step, which is nan once the momentum
+    # underflows and the step is inf.
+    bounce = {
+        n: (n * step if n else 0.0, probs.get(abs(n)))
+        for n in range(min(-max_order, total - 2 * max_order), total + 2 * max_order + 1)
+    }
+    internal = range(-max_order, max_order + 1)
 
     paths = []
-    for n1 in range(-max_order, max_order + 1):
-        s1 = sin_inc + n1 * step
+    for n1 in internal:
+        shift1, p1 = bounce[n1]
+        s1 = sin_inc + shift1
         if abs(s1) > 1.0:
             continue
         alpha1 = math.asin(s1)
-        for n2 in range(-max_order, max_order + 1):
-            s2 = s1 + n2 * step
+        tan1 = math.tan(alpha1)
+        for n2 in internal:
+            shift2, p2 = bounce[n2]
+            s2 = s1 + shift2
             if abs(s2) > 1.0:
                 continue
             n3 = total - n1 - n2
-            s3 = s2 + n3 * step
-            if abs(s3) > 1.0:
+            shift3, p3 = bounce[n3]
+            if abs(s2 + shift3) > 1.0:
                 continue
             alpha2 = math.asin(s2)
-            orders = (n1, n2, n3)
-            paths.append(
-                DiffractionPath(
-                    n1=n1,
-                    n2=n2,
-                    n3=n3,
-                    alpha1=alpha1,
-                    alpha2=alpha2,
-                    total_order=total,
-                    geometry_ratio=math.tan(alpha1) + math.tan(alpha2),
-                    transmission=_try_transmission(orders, grating),
-                )
-            )
+            paths.append(DiffractionPath(
+                n1, n2, n3, alpha1, alpha2, total, tan1 + math.tan(alpha2),
+                None if p1 is None or p2 is None or p3 is None else p1 * p2 * p3,
+            ))
     return paths
 
 
@@ -169,8 +165,7 @@ def feasibility_band(path: DiffractionPath, setting: MonochromatorSetting) -> Fe
     return FeasibilityBand(lower=lower, upper=lower + math.tan(setting.theta_out))
 
 
-@dataclass(frozen=True)
-class PathGroup:
+class PathGroup(NamedTuple):
     """Paths sharing a geometry ratio (indistinguishable in the device plane)."""
 
     geometry_ratio: float
@@ -186,16 +181,15 @@ def group_paths_by_geometry(
     Groups are returned ordered by increasing ratio; members keep their
     individual transmission rates.
     """
-    groups: list[PathGroup] = []
-    for path in sorted(paths, key=lambda p: (p.geometry_ratio, p.orders)):
-        if groups:
-            ref = groups[-1].geometry_ratio
+    clusters: list[tuple[float, list[DiffractionPath]]] = []
+    for path in sorted(paths, key=attrgetter("geometry_ratio", "n1", "n2", "n3")):
+        if clusters:
+            ref, members = clusters[-1]
             if abs(path.geometry_ratio - ref) <= rtol * max(1.0, abs(ref)):
-                last = groups[-1]
-                groups[-1] = PathGroup(ref, last.members + (path,))
+                members.append(path)
                 continue
-        groups.append(PathGroup(path.geometry_ratio, (path,)))
-    return groups
+        clusters.append((path.geometry_ratio, [path]))
+    return [PathGroup(ref, tuple(members)) for ref, members in clusters]
 
 
 def path_census(

@@ -119,6 +119,21 @@ class TestIncidenceTable:
         ])
         assert code == 3
 
+    def test_zero_order_at_underflowed_momentum(self, runner):
+        # m * v underflows to 0, so the wavelength is inf; order 0 stays specular.
+        result = invoke(runner, [
+            "incidence-table", "--orders", "0,1", "--v-min", "1e-309", "--v-max", "1e-309",
+        ])
+        assert result.exit_code == 0
+        assert result.output.split("\n")[1:3] == [
+            "1e-309,0,85.0,ok", "1e-309,1,,below_cutoff",
+        ]
+
+    @pytest.mark.parametrize("orders", ["x", "1,x", "1.5", "nan"])
+    def test_non_integer_orders_exit_2(self, capsys, orders):
+        assert entrypoint(["incidence-table", "--orders", orders]) == 2
+        assert "--orders" in capsys.readouterr().err
+
 
 class TestDivergenceTable:
     def test_zero_order_rows_are_zero(self, runner):
@@ -189,6 +204,15 @@ class TestPaths:
         rows = json.loads(result.output)
         assert len(rows) == 17
         assert {"n1", "d_over_s", "group_id"} <= set(rows[0])
+
+    def test_zero_order_at_underflowed_momentum(self, runner):
+        result = invoke(runner, ["paths", "--v", "1e-320", "--order", "0"])
+        assert result.exit_code == 0
+        rows = [line.split(",") for line in result.output.strip().split("\n")[1:]]
+        assert len(rows) == 1
+        n1, n2, n3, alpha1, alpha2 = rows[0][:5]
+        assert (n1, n2, n3) == ("0", "0", "0")
+        assert float(alpha1) == float(alpha2) == pytest.approx(85.0, abs=1e-12)
 
     def test_order_conservation_in_output(self, runner):
         result = invoke(runner, ["paths", "--v", "2000", "--order", "-1"])
@@ -298,18 +322,24 @@ class TestInputContract:
     @given(command=st.sampled_from(["simulate", "paths", "incidence-table",
                                     "divergence-table", "scan"]),
            a=flag_values, b=flag_values, theta=st.none() | flag_values,
-           order=st.none() | st.integers(min_value=-4, max_value=4))
-    # Regressions: an infinite step makes the grid point 1 + 0 * inf = nan, and
-    # a subnormal velocity underflows the momentum m * v to zero.
-    @example(command="incidence-table", a=1.0, b=math.inf, theta=None, order=None)
-    @example(command="simulate", a=2.2e-309, b=2.2e-309, theta=None, order=None)
-    def test_every_flag_value_exits_0_2_or_3(self, small_config, command, a, b, theta, order):
+           order=st.none() | st.integers(min_value=-4, max_value=4),
+           orders=st.lists(st.integers(min_value=-4, max_value=4).map(str)
+                           | st.sampled_from(["", " ", "x", "1.5", "nan", "-", "0x1"]),
+                           min_size=1, max_size=3).map(",".join))
+    # Regressions: an infinite step makes the grid point 1 + 0 * inf = nan, a
+    # subnormal velocity underflows the momentum m * v to zero, and a
+    # non-integer --orders token once ended in a traceback.
+    @example(command="incidence-table", a=1.0, b=math.inf, theta=None, order=None, orders="1")
+    @example(command="simulate", a=2.2e-309, b=2.2e-309, theta=None, order=None, orders="1")
+    @example(command="incidence-table", a=1000.0, b=1.0, theta=None, order=None, orders="x")
+    def test_every_flag_value_exits_0_2_or_3(self, small_config, command, a, b, theta, order,
+                                             orders):
         argv = {
             "simulate": ["simulate", f"--v-center={a!r}", f"--v-width={b!r}"],
             "paths": ["paths", f"--v={a!r}"],
-            "incidence-table": ["incidence-table", "--orders=1", f"--v-min={a!r}",
+            "incidence-table": ["incidence-table", f"--orders={orders}", f"--v-min={a!r}",
                                 f"--v-max={a!r}", f"--v-step={b!r}"],
-            "divergence-table": ["divergence-table", "--orders=1", f"--v-min={a!r}",
+            "divergence-table": ["divergence-table", f"--orders={orders}", f"--v-min={a!r}",
                                  f"--v-max={a!r}", f"--v-step={b!r}"],
             "scan": ["scan", f"--v-min={a!r}", f"--v-max={a!r}", f"--v-width={b!r}"],
         }[command]

@@ -6,6 +6,7 @@ from mwmono import (
     ConfigurationError,
     DeviceGeometry,
     DiffractionPath,
+    PathGroup,
     diffraction_angle,
     enumerate_paths,
     feasibility_band,
@@ -144,12 +145,49 @@ class TestGrouping:
                 checked += 1
             assert checked >= 2
 
+    def test_input_order_does_not_matter(self, setting, helium, grating):
+        # Symmetric pairs tie on the ratio; the orders break the tie.
+        paths = enumerate_paths(setting, helium, grating, 1000.0)
+        assert group_paths_by_geometry(paths[::-1]) == group_paths_by_geometry(paths)
+
     def test_groups_are_ordered_and_cover_all_paths(self, setting, helium, grating):
         paths = enumerate_paths(setting, helium, grating, 1000.0)
         groups = group_paths_by_geometry(paths)
         ratios = [g.geometry_ratio for g in groups]
         assert ratios == sorted(ratios)
         assert sum(len(g.members) for g in groups) == len(paths)
+
+
+class TestPathRecords:
+    def test_fields_are_read_only(self, setting, helium, grating):
+        path = make_path(0, 0, 1)
+        group = group_paths_by_geometry(enumerate_paths(setting, helium, grating, 1000.0))[0]
+        with pytest.raises(AttributeError):
+            path.transmission = 1.0
+        with pytest.raises(AttributeError):
+            path.n1 = 2
+        with pytest.raises(AttributeError):
+            group.geometry_ratio = 0.0
+        with pytest.raises(AttributeError):
+            group.members = ()
+
+    def test_equal_paths_hash_equal(self, setting, helium, grating):
+        first = enumerate_paths(setting, helium, grating, 1000.0)
+        second = enumerate_paths(setting, helium, grating, 1000.0)
+        assert first == second
+        assert [hash(p) for p in first] == [hash(p) for p in second]
+        assert len(set(first) | set(second)) == len(first)
+        assert hash(make_path(0, -1, 2)) == hash(make_path(0, -1, 2))
+        groups = group_paths_by_geometry(first)
+        assert hash(tuple(groups)) == hash(tuple(group_paths_by_geometry(second)))
+
+    def test_keyword_construction(self):
+        path = make_path(0, -1, 2, alpha1=0.25, alpha2=0.5, transmission=None)
+        assert path.orders == (0, -1, 2)
+        assert (path.alpha1, path.alpha2, path.total_order) == (0.25, 0.5, 1)
+        assert path.geometry_ratio == math.tan(0.25) + math.tan(0.5)
+        assert path.transmission is None
+        assert PathGroup(geometry_ratio=1.5, members=(path,)).members == (path,)
 
 
 class TestDeviceGeometry:

@@ -3,7 +3,9 @@
 The scan and simulate files under ``tests/golden/`` were written by the
 full-grid kernels before rows were settled from their end columns; the
 table, path and default-config files by the CLI before its config layer
-was reduced to one merge and one validation.  Regenerate one only for
+was reduced to one merge and one validation; the further path files
+(JSON prints every float in full) before the path records became named
+tuples.  Regenerate one only for
 an intended change of output, e.g.
 ``mwmono scan --v-min 300 --v-max 5000 --v-step 100 > tests/golden/scan.csv``.
 """
@@ -27,6 +29,11 @@ README_SCAN = ["scan", "--v-min", "300", "--v-max", "5000", "--v-step", "100"]
       "--v-step", "100"], "incidence_table.csv"),
     (["divergence-table", "--orders", "1,2,3"], "divergence_table.csv"),
     (["paths", "--v", "1000"], "paths_1000.csv"),
+    (["paths", "--v", "300"], "paths_300.csv"),
+    (["paths", "--v", "5000", "--format", "json"], "paths_5000.json"),
+    # Near grazing exit the rounded third-bounce sine rejects 3 paths.
+    (["paths", "--v", "572", "--theta-out-deg", "89.9999999", "--format", "json"],
+     "paths_572_grazing.json"),
     (["--dump-default-config"], "default_config.yaml"),
 ])
 def test_cli_output_matches_golden(args, name):
