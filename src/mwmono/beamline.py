@@ -16,30 +16,27 @@ Sampling is deterministic: uniform grids over velocity and over the source
 aperture.  Tracing is side-effect free and reduced by plain summation, so
 results do not depend on evaluation order.
 
-Rows are settled from their end columns.  At a fixed velocity (one grid row)
-every cut is affine in the source offset u: the entry window, both on-plate
-checks, the exit clearance (the complement of the interval (0, l)) and each
-pinhole's |off| <= d/2.  The entry window depends on u alone, so the
-columns it blocks are dropped up front.  The float expressions are monotone in u too, since
-each step combines a monotone column value with a per-row constant and
-rounding is monotone; only the pinhole offset sums two terms that move
-oppositely, so it is monotone up to a few ulps of those terms.  The kernels
-evaluate the cuts on the two end columns (u = +-D/2) of every row.  A row
-passes in full when both ends pass every interval cut and lie on the same
-side of the clearance gap; it passes nothing when both ends fail one cut on
-the same side or an order is evanescent.  Each end must clear its bound by
-``SETTLE_MARGIN`` of the cut's scale, a million times any rounding
-excursion, so a settled row has the count the full grid would give.  The
-remaining "partial" rows (at most 15 of 2001 in the device and under a
-fifth in the baseline at the default setup) are traced on every column with
-the same expressions.  The per-row counts, and hence every output, are
-therefore bit-identical to evaluating every cell.
+Rows are counted from intervals.  At a fixed velocity (one grid row) every
+cut is affine in the source offset u, and so in the row's sorted column
+coordinate: x1 = window/2 + u / cos(theta_inc) in the device, dx = u /
+cos(theta_inc) in the baseline.  The entry window depends on u alone, so its
+blocked columns are dropped up front.  Both on-plate checks (x2, x3 in
+[0, l]) and each pinhole (|offset| <= d/2) bound the coordinate, and the exit
+clearance removes the open gap where x3 + rise3 lies in (0, l).  So a row
+passes one interval less the gap, and its columns are counted by binary
+search; no rows x columns array is built.  The count equals the one the same
+cut expressions give on every cell: each cut's value is monotone in the
+column coordinate (the pinhole offset up to a few ulps), so the columns it
+passes are those on one side of its edge.  The two can differ only for a
+column within a few ulps of an edge, where the rounded cell value and the
+edge rounded into column space may fall on opposite sides.  A property test
+checks exact equality with the every-cell count; the README grids and the
+property's ranges never met such a column.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,15 +54,9 @@ from .geometry import DeviceGeometry, DiffractionPath, enumerate_paths
 DEFAULT_VELOCITY_BINS = 2001
 DEFAULT_OFFSET_SAMPLES = 201
 
-#: Largest grids the kernels accept, far above the 8001 x 801 convergence
-#: check; partial rows are traced in chunks of about ``_CHUNK_CELLS`` cells.
+#: Largest grids the kernels accept, far above the 8001 x 801 convergence check.
 MAX_VELOCITY_BINS = 100_001
 MAX_OFFSET_SAMPLES = 10_001
-_CHUNK_CELLS = 1 << 18
-
-#: A row is settled from its end columns only when both ends clear every
-#: bound by this fraction of the cut's scale.
-SETTLE_MARGIN = 1e-9
 
 #: Baseline comparison: one bounce at this incidence angle, first order.
 BASELINE_THETA_INC = math.radians(50.0)
@@ -241,113 +232,46 @@ def select_path(
     return max(feasible, key=lambda p: (p.transmission, -abs(p.n1), p.orders))
 
 
-@dataclass(frozen=True)
-class _Cut:
-    """One cut on a block of grid cells: a cell passes iff lo <= value <= hi.
-
-    A ``gap`` cut passes outside the open interval (lo, hi) instead.
-    ``scale()`` bounds the magnitudes whose rounding errors enter ``value``
-    (default |value|); the settling margin is relative to it.
-    """
-
-    value: np.ndarray
-    lo: float
-    hi: float
-    scale: Callable[[], np.ndarray] | None = None
-    gap: bool = False
-
-    def passes(self) -> np.ndarray:
-        v = self.value
-        if self.gap:
-            return ~((v > self.lo) & (v < self.hi))
-        return (v >= self.lo) & (v <= self.hi)
-
-    def settle(self) -> tuple[np.ndarray, np.ndarray]:
-        """Rows that pass in full and rows that pass nothing, from the two end columns."""
-        v0, v1 = self.value[:, 0], self.value[:, 1]
-        scale = np.abs(self.value) if self.scale is None else self.scale()
-        m = SETTLE_MARGIN * np.maximum(scale[:, 0], scale[:, 1])
-        lo_in, lo_out = self.lo + m, self.lo - m
-        hi_in, hi_out = self.hi - m, self.hi + m
-        if self.gap:
-            clear = ((v0 <= lo_out) & (v1 <= lo_out)) | ((v0 >= hi_out) & (v1 >= hi_out))
-            return clear, (v0 > lo_in) & (v1 > lo_in) & (v0 < hi_in) & (v1 < hi_in)
-        inside = (v0 >= lo_in) & (v1 >= lo_in) & (v0 <= hi_in) & (v1 <= hi_in)
-        return inside, ((v0 < lo_out) & (v1 < lo_out)) | ((v0 > hi_out) & (v1 > hi_out))
-
-
-@dataclass(frozen=True)
-class _Grid:
-    """Velocity x source-offset grid whose cuts are monotone along each row.
-
-    ``cuts(rows, u)`` evaluates every cut on the given rows (an index array
-    or a slice) and columns ``u`` of shape (1, k).  A cell passes when its
-    row is ``valid`` and it passes every cut.
-    """
-
-    valid: np.ndarray  # (nv,) bool
-    u: np.ndarray  # (nu,) column coordinate the cuts are monotone in
-    cuts: Callable[..., list[_Cut]]
-
-    def cell_counts(self, rows) -> np.ndarray:
-        """Cells of ``rows`` passing every cut, each column evaluated."""
-        cuts = self.cuts(rows, self.u[None, :])
-        passed = cuts[0].passes()
-        for cut in cuts[1:]:
-            passed &= cut.passes()
-        return passed.sum(axis=1)
-
-    def row_counts(self) -> np.ndarray:
-        """Passing cells per row; only rows unsettled by their ends are traced in full."""
-        counts = np.zeros(len(self.valid), dtype=np.intp)
-        if self.u.size == 0:
-            return counts
-        full = self.valid.copy()
-        empty = ~self.valid
-        for cut in self.cuts(slice(None), self.u[None, [0, -1]]):
-            all_pass, none_pass = cut.settle()
-            full &= all_pass
-            empty |= none_pass
-        counts[full] = self.u.size
-        partial = np.flatnonzero(~full & ~empty)
-        chunk = max(1, _CHUNK_CELLS // self.u.size)
-        for i in range(0, partial.size, chunk):
-            rows = partial[i:i + chunk]
-            counts[rows] = self.cell_counts(rows)
-        return counts
-
-
-def _pinhole_cuts(theta_exit, theta_ref, pinholes):
-    """``cuts(rows, dx)`` for pinholes centred on the reference ray.
+def _pinhole_bounds(theta_exit, theta_ref, pinholes):
+    """Per-row bounds (lo, hi) on the exit-point displacement dx passing every pinhole.
 
     Pinholes are centred on the reference ray (exit angle ``theta_ref``
-    through dx = 0) and oriented perpendicular to it.  ``theta_exit`` has
-    shape (nv, 1); dx is the exit-point displacement along the plate
-    relative to the reference ray.  The offset sums two terms that move
-    oppositely in dx, so its scale covers both terms and the numerator of
-    the path length.
+    through dx = 0) and oriented perpendicular to it.  A ray leaving dx at
+    ``theta_exit`` meets the pinhole at distance L with the offset
+    ``dx * slope + L * tan(rel)``, where ``rel = theta_exit - theta_ref`` and
+    ``slope = cos(theta_ref) - sin(theta_ref) * tan(rel)``.  A row of slope 0
+    has one offset on every column: bounds (-inf, inf) if it passes, else inf.
     """
-    rel = theta_exit - theta_ref
-    cos_rel = np.cos(rel)
-    sin_rel = np.sin(rel)
-    slope = np.abs(sin_rel / cos_rel)
-    cos_ref, sin_ref = math.cos(theta_ref), math.sin(theta_ref)
+    tan_rel = np.tan(theta_exit - theta_ref)
+    slope = math.cos(theta_ref) - math.sin(theta_ref) * tan_rel
+    flat = slope == 0.0
+    divisor = np.where(flat, 1.0, slope)
+    lo, hi = np.full(slope.shape, -np.inf), np.full(slope.shape, np.inf)
+    for ph in pinholes:
+        centre = ph.distance * tan_rel  # offset at dx = 0
+        a = (-ph.diameter / 2 - centre) / divisor
+        b = (ph.diameter / 2 - centre) / divisor
+        flat_lo = np.where(np.abs(centre) <= ph.diameter / 2, -np.inf, np.inf)
+        lo = np.maximum(lo, np.where(flat, flat_lo, np.minimum(a, b)))
+        hi = np.minimum(hi, np.where(flat, np.inf, np.maximum(a, b)))
+    return lo, hi
 
-    def cuts(rows, dx):
-        along = dx * cos_ref
-        cos_r, sin_r = cos_rel[rows], sin_rel[rows]
-        out = []
-        for ph in pinholes:
-            t = (ph.distance - dx * sin_ref) / cos_r
-            off = along + t * sin_r
 
-            def scale(distance=ph.distance):
-                return np.abs(along) + (distance + np.abs(dx * sin_ref)) * slope[rows]
+def _row_counts(valid, x, lo, hi, gap=None):
+    """Columns of the sorted ``x`` inside [lo, hi] on each valid row.
 
-            out.append(_Cut(off, -ph.diameter / 2, ph.diameter / 2, scale))
-        return out
-
-    return cuts
+    Columns inside the open interval ``gap = (gap_lo, gap_hi)`` do not pass.
+    Rows that are invalid or whose bounds are empty or NaN count 0.
+    """
+    keep = valid & (lo <= hi)
+    first = np.searchsorted(x, np.where(keep, lo, np.inf))
+    end = np.searchsorted(x, np.where(keep, hi, np.inf), side="right")
+    counts = end - first
+    if gap is not None:
+        gap_first = np.searchsorted(x, gap[0], side="right")
+        gap_end = np.searchsorted(x, gap[1])
+        counts -= np.maximum(np.minimum(end, gap_end) - np.maximum(first, gap_first), 0)
+    return counts
 
 
 def _check_grid(velocity_bins: int, offset_samples: int) -> None:
@@ -362,14 +286,9 @@ def _check_grid(velocity_bins: int, offset_samples: int) -> None:
 
 def _axes(spec: BeamSpec, beamline: Beamline, velocity_bins: int, offset_samples: int):
     """Velocity bin centres and source offsets of the sampling grid."""
-    vbar = spec.center_velocity
+    vbar, radius = spec.center_velocity, beamline.source_pinhole.diameter / 2
     velocities = np.linspace(vbar - spec.full_width / 2, vbar + spec.full_width / 2, velocity_bins)
-    offsets = np.linspace(
-        -beamline.source_pinhole.diameter / 2,
-        beamline.source_pinhole.diameter / 2,
-        offset_samples,
-    )
-    return velocities, offsets
+    return velocities, np.linspace(-radius, radius, offset_samples)
 
 
 def _fwhm(x: np.ndarray, w: np.ndarray) -> float:
@@ -391,7 +310,7 @@ def _fwhm(x: np.ndarray, w: np.ndarray) -> float:
     return float(x[1] - x[0]) if len(x) > 1 else 0.0
 
 
-def _reduce(spec, velocities, weights, throughput) -> BeamlineResult:
+def _reduce(spec, velocities, weights) -> BeamlineResult:
     total = weights.sum()
     if total <= 0.0:
         raise EmptyTransmissionError(
@@ -399,8 +318,14 @@ def _reduce(spec, velocities, weights, throughput) -> BeamlineResult:
             configuration={"spec": spec},
         )
     mean = float((weights * velocities).sum() / total)
-    var = float((weights * (velocities - mean) ** 2).sum() / total)
-    std = math.sqrt(max(var, 0.0))
+    # Deviations are scaled by a power of two within a factor 2 of the largest
+    # of them, so their squares cannot overflow; the scaling is exact in
+    # binary floating point.  (The beam width would not do once the mean's
+    # rounding exceeds it.)
+    deviations = velocities - mean
+    scale = math.ldexp(0.5, math.frexp(float(np.abs(deviations).max()))[1])
+    var = float((weights * (deviations / scale) ** 2).sum() / total)
+    std = math.sqrt(max(var, 0.0)) * scale
     width = float(_fwhm(velocities, weights))
     return BeamlineResult(
         velocities=velocities,
@@ -410,12 +335,12 @@ def _reduce(spec, velocities, weights, throughput) -> BeamlineResult:
         delta_v_std=std,
         speed_ratio=mean / width if width > 0 else math.inf,
         input_speed_ratio=spec.speed_ratio,
-        throughput=float(throughput),
+        throughput=float(total),
     )
 
 
-def _beam_grid(spec, beamline, particle, grating, path, velocity_bins, offset_samples):
-    """Velocities, grid and path transmission traced by :func:`simulate_beam`."""
+def _beam_counts(spec, beamline, particle, grating, path, velocity_bins, offset_samples):
+    """Velocities, passing offsets per velocity and path transmission of :func:`simulate_beam`."""
     _check_grid(velocity_bins, offset_samples)
     setting = beamline.setting
     device = beamline.device
@@ -438,7 +363,7 @@ def _beam_grid(spec, beamline, particle, grating, path, velocity_bins, offset_sa
         )
     velocities, offsets = _axes(spec, beamline, velocity_bins, offset_samples)
 
-    step = _sin_step(particle, grating, velocities)[:, None]  # (nv, 1)
+    step = _sin_step(particle, grating, velocities)
     s1 = math.sin(theta_inc) + path.n1 * step
     s2 = s1 + path.n2 * step
     s3 = s2 + path.n3 * step
@@ -459,20 +384,18 @@ def _beam_grid(spec, beamline, particle, grating, path, velocity_bins, offset_sa
             "central ray blocked inside the device",
             configuration={"v": vbar, "path": path.orders},
         )
-    pinholes = _pinhole_cuts(theta_exit, central.angle, beamline.exit_pinholes)
 
-    def cuts(rows, x1):
-        x2 = x1 + rise1[rows]
-        x3 = x2 + rise2[rows]
-        x_clear = x3 + rise3[rows]
-        return [
-            _Cut(x2, 0.0, length),
-            _Cut(x3, 0.0, length),
-            _Cut(x_clear, 0.0, length, gap=True),
-            *pinholes(rows, x3 - central.position),
-        ]
-
-    return velocities, _Grid(valid[:, 0], x1, cuts), path.transmission
+    # Every cut bounds x1: x2 = x1 + rise1 and x3 = x2 + rise2 lie on the
+    # plate, dx = x3 - central.position passes the pinholes, and the exit
+    # clearance x3 + rise3 lies outside (0, length).
+    rise12 = rise1 + rise2
+    lo, hi = _pinhole_bounds(theta_exit, central.angle, beamline.exit_pinholes)
+    shift = central.position - rise12
+    lo = np.maximum.reduce([-rise1, -rise12, lo + shift])
+    hi = np.minimum.reduce([length - rise1, length - rise12, hi + shift])
+    rise = rise12 + rise3
+    counts = _row_counts(valid, x1, lo, hi, gap=(-rise, length - rise))
+    return velocities, counts, path.transmission
 
 
 def simulate_beam(
@@ -491,22 +414,20 @@ def simulate_beam(
     launched ray carries equal weight; transmitted rays are scaled by the
     path's transmission rate so throughput is physically meaningful.
     """
-    velocities, grid, transmission = _beam_grid(
+    velocities, counts, transmission = _beam_counts(
         spec, beamline, particle, grating, path, velocity_bins, offset_samples
     )
-    per_ray = transmission / (velocity_bins * offset_samples)
-    weights = grid.row_counts() * per_ray
-    return _reduce(spec, velocities, weights, weights.sum())
+    return _reduce(spec, velocities, counts * (transmission / (velocity_bins * offset_samples)))
 
 
-def _baseline_grid(spec, beamline, particle, grating, theta_inc, order,
-                   velocity_bins, offset_samples):
-    """Velocities, grid and reflection probability of :func:`single_reflection_baseline`."""
+def _baseline_counts(spec, beamline, particle, grating, theta_inc, order,
+                     velocity_bins, offset_samples):
+    """Velocities, passing offsets per velocity and reflection probability of the baseline."""
     _check_grid(velocity_bins, offset_samples)
     vbar = spec.center_velocity
     velocities, offsets = _axes(spec, beamline, velocity_bins, offset_samples)
 
-    step = _sin_step(particle, grating, velocities)[:, None]
+    step = _sin_step(particle, grating, velocities)
     s_exit = math.sin(theta_inc) + order * step
     valid = np.abs(s_exit) <= 1.0
     theta_exit = np.arcsin(np.clip(s_exit, -1.0, 1.0))
@@ -524,8 +445,8 @@ def _baseline_grid(spec, beamline, particle, grating, theta_inc, order,
     if prob is None:
         raise ConfigurationError(f"no reflection probability for |order| = {abs(order)}")
 
-    cuts = _pinhole_cuts(theta_exit, theta_ref, beamline.exit_pinholes)
-    return velocities, _Grid(valid[:, 0], dx, cuts), prob
+    lo, hi = _pinhole_bounds(theta_exit, theta_ref, beamline.exit_pinholes)
+    return velocities, _row_counts(valid, dx, lo, hi), prob
 
 
 def single_reflection_baseline(
@@ -543,12 +464,10 @@ def single_reflection_baseline(
     The mirror is not enclosed between plates, so only the pinholes select;
     the exit pinholes are again centred on the centre velocity's exit ray.
     """
-    velocities, grid, prob = _baseline_grid(
+    velocities, counts, prob = _baseline_counts(
         spec, beamline, particle, grating, theta_inc, order, velocity_bins, offset_samples
     )
-    per_ray = prob / (velocity_bins * offset_samples)
-    weights = grid.row_counts() * per_ray
-    return _reduce(spec, velocities, weights, weights.sum())
+    return _reduce(spec, velocities, counts * (prob / (velocity_bins * offset_samples)))
 
 @dataclass(frozen=True)
 class ScanRow:

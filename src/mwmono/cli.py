@@ -25,6 +25,7 @@ from .beamline import scan_speed_ratio, simulate_beam, single_reflection_baselin
 from .config import RunConfig, _merge, dump_default_config, read_config
 from .diffraction import (
     MonochromatorSetting,
+    _MAX_ORDER,
     incidence_for_output,
     velocity_divergence,
 )
@@ -49,7 +50,7 @@ def common_options(f):
         click.option("--material", default=None, help="Material preset name."),
         click.option("--particle", default=None, help="Particle preset name."),
         click.option("--theta-out-deg", type=float, default=None, help="Fixed exit angle."),
-        click.option("--order", type=int, default=None,
+        click.option("--order", type=click.IntRange(-_MAX_ORDER, _MAX_ORDER), default=None,
                      help="Total diffraction order (signed; magnitude is used)."),
         click.option("--v-center", type=float, default=None, help="Beam centre velocity [m/s]."),
         click.option("--v-width", type=float, default=None, help="Beam full width [m/s]."),
@@ -131,9 +132,12 @@ def _velocity_grid(v_min, v_max, v_step):
 
 def _parse_orders(ctx, param, value):
     try:
-        return [int(tok) for tok in value.split(",") if tok.strip()]
+        orders = [int(tok) for tok in value.split(",") if tok.strip()]
     except ValueError:
         raise click.BadParameter(f"expected comma-separated integers, got {value!r}") from None
+    if any(abs(n) > _MAX_ORDER for n in orders):
+        raise click.BadParameter(f"every |order| must be at most {_MAX_ORDER}")
+    return orders
 
 
 def _order_table(name, column, value, doc):

@@ -24,7 +24,7 @@ from .beamline import (
     Pinhole,
     _check_grid,
 )
-from .diffraction import Grating, MonochromatorSetting, Particle
+from .diffraction import Grating, MonochromatorSetting, Particle, _MAX_ORDER
 from .errors import ConfigurationError
 from .geometry import DeviceGeometry
 from .presets import get_material, get_particle
@@ -107,7 +107,7 @@ def read_config(path: str | Path) -> dict:
     """The mapping in a YAML or JSON file, unvalidated; an empty file gives {}."""
     try:
         raw = yaml.safe_load(Path(path).read_text())
-    except (OSError, yaml.YAMLError) as exc:
+    except (OSError, ValueError, yaml.YAMLError) as exc:
         raise ConfigurationError(f"cannot read config {path}: {exc}") from None
     if raw is None:
         return {}
@@ -133,6 +133,7 @@ class RunConfig:
             ("device", cfg.device), ("beamline", cfg.beamline), ("beam", cfg.beam),
             ("sampling", lambda: _check_grid(cfg.velocity_bins, cfg.offset_samples)),
             ("baseline/theta_inc_deg", lambda: cfg.baseline_theta_inc),
+            ("baseline/order", lambda: cfg.baseline_order),
         ]:
             try:
                 build()
@@ -207,7 +208,10 @@ class RunConfig:
 
     @property
     def baseline_order(self) -> int:
-        return self.data["baseline"]["order"]
+        order = self.data["baseline"]["order"]
+        if abs(order) > _MAX_ORDER:
+            raise ValueError(f"|order| must be at most {_MAX_ORDER}, got {order}")
+        return order
 
 
 def _pinhole(spec: dict) -> Pinhole:

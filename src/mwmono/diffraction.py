@@ -30,6 +30,9 @@ HBAR = 1.054571817e-34
 #: Derivative evaluation refuses arcsin arguments closer to +-1 than this.
 GRAZING_MARGIN = 1e-12
 
+#: Largest |order| accepted; every order up to it converts to a float exactly.
+_MAX_ORDER = 10**9
+
 
 @dataclass(frozen=True)
 class Particle:
@@ -87,6 +90,8 @@ class MonochromatorSetting:
     def __post_init__(self):
         if not 0 < self.theta_out < math.pi / 2:
             raise ValueError(f"theta_out must be in (0, pi/2), got {self.theta_out}")
+        if abs(self.total_order) > _MAX_ORDER:
+            raise ValueError(f"|total_order| must be at most {_MAX_ORDER}, got {self.total_order}")
 
     @property
     def epsilon(self) -> float:

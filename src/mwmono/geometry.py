@@ -125,13 +125,15 @@ def enumerate_paths(
     step = wavelength_ratio(particle, grating, v)
     sin_inc = math.sin(theta_inc)
     probs = grating.reflection_probabilities
-    # Sine shift and reflection probability of every order a bounce can take.
-    # The specular shift is 0.0, not 0 * step, which is nan once the momentum
-    # underflows and the step is inf.
-    bounce = {
-        n: (n * step if n else 0.0, probs.get(abs(n)))
-        for n in range(min(-max_order, total - 2 * max_order), total + 2 * max_order + 1)
-    }
+    # Sine shift and reflection probability of every order a bounce can take:
+    # n1, n2 in -max_order..max_order and n3 = total - n1 - n2.  The specular
+    # shift is 0.0, not 0 * step, which is nan once the momentum underflows
+    # and the step is inf.
+    low = total - 2 * max_order
+    orders = range(min(-max_order, low), total + 2 * max_order + 1)
+    if low > max_order + 1:  # skip the orders no bounce takes
+        orders = (*range(-max_order, max_order + 1), *range(low, orders.stop))
+    bounce = {n: (n * step if n else 0.0, probs.get(abs(n))) for n in orders}
     internal = range(-max_order, max_order + 1)
 
     paths = []

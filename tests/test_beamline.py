@@ -10,6 +10,7 @@ from mwmono import (
     ConfigurationError,
     EmptyTransmissionError,
     Pinhole,
+    RunConfig,
     incidence_for_output,
     scan_speed_ratio,
     select_path,
@@ -179,6 +180,16 @@ class TestSimulateBeam:
         b = simulate_beam(spec, beamline, helium, grating)
         assert np.array_equal(a.weights, b.weights)
         assert a.speed_ratio == b.speed_ratio
+
+    @pytest.mark.parametrize("center, width", [(1500.0, 1e-300), (1e160, 1e159)])
+    def test_std_is_finite_at_extreme_widths(self, center, width):
+        # Below the rounding of the mean the width cannot scale the
+        # deviations; far above 1e154 m/s their squares would overflow.
+        cfg = RunConfig.from_dict({"setting": {"theta_out_deg": 75.0}})
+        with np.errstate(over="raise"):
+            result = simulate_beam(BeamSpec(center, width), cfg.beamline(),
+                                   cfg.particle(), cfg.grating())
+        assert math.isfinite(result.delta_v_std)
 
 
 class TestBaseline:

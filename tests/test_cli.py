@@ -264,6 +264,18 @@ class TestSimulateAndScan:
     def test_infeasible_simulate_exits_3(self):
         assert entrypoint(["simulate", "--v-center", "290", "--v-width", "20"]) == 3
 
+    def test_huge_velocities_give_valid_json(self, runner):
+        # Squared deviations of about 1e159 m/s once overflowed to Infinity.
+        result = invoke(runner, ["simulate", "--v-center", "1e160", "--v-width", "1e159",
+                                 "--theta-out-deg", "75", "--format", "json"])
+        assert result.exit_code == 0
+
+        def reject(constant):
+            raise ValueError(f"not valid JSON: {constant}")
+
+        payload = json.loads(result.stdout, parse_constant=reject)
+        assert math.isfinite(payload["delta_v_std_mps"])
+
 
 class TestGridBounds:
     @pytest.mark.parametrize("command", ["incidence-table", "divergence-table", "scan"])
@@ -287,6 +299,47 @@ class TestGridBounds:
         cfg.write_text(f"sampling:\n  {key}: {limit}\n")
         assert RunConfig.from_file(cfg).to_dict()["sampling"][key] == limit
 
+
+HUGE_ORDER = "9" * 400  # an integer too large for a float
+
+
+class TestOrderBound:
+    @pytest.mark.parametrize("args, name", [
+        (["paths", "--v", "1000", "--order", HUGE_ORDER], "--order"),
+        (["incidence-table", "--orders", HUGE_ORDER], "--orders"),
+        (["divergence-table", "--orders", f"1,-{HUGE_ORDER}"], "--orders"),
+        (["simulate", "--config", "setting: {total_order: %s}" % HUGE_ORDER],
+         "setting: |total_order|"),
+        (["simulate", "--config", "baseline: {order: -%s}" % HUGE_ORDER], "baseline/order"),
+        # Past 4300 digits Python refuses to parse the integer at all.
+        (["simulate", "--config", "setting: {total_order: %s}" % ("9" * 5000)],
+         "cannot read config"),
+    ])
+    def test_huge_order_exits_2(self, tmp_path, capsys, args, name):
+        if args[1] == "--config":
+            cfg = tmp_path / "order.yaml"
+            cfg.write_text(args[2] + "\n")
+            args = [args[0], "--config", str(cfg)]
+        assert entrypoint(args) == 2
+        assert name in capsys.readouterr().err
+
+    def test_large_total_order_builds_a_small_table(self, runner):
+        # Only the orders a bounce can take are tabulated, not every order up
+        # to the total.
+        tracemalloc.start()
+        try:
+            result = invoke(runner, ["paths", "--v", "1e300", "--order", "1000000"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.exit_code == 0
+        assert peak < 5_000_000
+
+
+#: Orders: small ones, and integers beyond the float range.
+order_values = (st.integers(min_value=-4, max_value=4)
+                | st.integers(min_value=2 ** 1024, max_value=10 ** 400).flatmap(
+                    lambda n: st.sampled_from([n, -n])))
 
 #: Flag values: anything a float flag parses to, and a band of plausible velocities.
 flag_values = st.floats() | st.floats(min_value=50.0, max_value=6000.0)
@@ -322,8 +375,8 @@ class TestInputContract:
     @given(command=st.sampled_from(["simulate", "paths", "incidence-table",
                                     "divergence-table", "scan"]),
            a=flag_values, b=flag_values, theta=st.none() | flag_values,
-           order=st.none() | st.integers(min_value=-4, max_value=4),
-           orders=st.lists(st.integers(min_value=-4, max_value=4).map(str)
+           order=st.none() | order_values,
+           orders=st.lists(order_values.map(str)
                            | st.sampled_from(["", " ", "x", "1.5", "nan", "-", "0x1"]),
                            min_size=1, max_size=3).map(",".join))
     # Regressions: an infinite step makes the grid point 1 + 0 * inf = nan, a

@@ -1,11 +1,13 @@
 """The CLI reproduces stored outputs of the README commands byte for byte.
 
 The scan and simulate files under ``tests/golden/`` were written by the
-full-grid kernels before rows were settled from their end columns; the
-table, path and default-config files by the CLI before its config layer
-was reduced to one merge and one validation; the further path files
-(JSON prints every float in full) before the path records became named
-tuples.  Regenerate one only for
+full-grid kernels before rows were settled from their end columns, and the
+further simulate files (``simulate_300``, ``simulate_5000`` and the
+``tight_pinhole.yaml`` run) by the settled kernels before rows were counted
+from their cut intervals; the table, path and default-config files by the
+CLI before its config layer was reduced to one merge and one validation;
+the further path files (JSON prints every float in full) before the path
+records became named tuples.  Regenerate one only for
 an intended change of output, e.g.
 ``mwmono scan --v-min 300 --v-max 5000 --v-step 100 > tests/golden/scan.csv``.
 """
@@ -35,6 +37,12 @@ README_SCAN = ["scan", "--v-min", "300", "--v-max", "5000", "--v-step", "100"]
     (["paths", "--v", "572", "--theta-out-deg", "89.9999999", "--format", "json"],
      "paths_572_grazing.json"),
     (["--dump-default-config"], "default_config.yaml"),
+    # One populated bin, and a wide baseline passband.
+    (["simulate", "--v-center", "300", "--format", "json"], "simulate_300.json"),
+    (["simulate", "--v-center", "5000", "--format", "json"], "simulate_5000.json"),
+    # 4001 x 401 grid where the 2 mm exit pinhole at 300 mm is the tightest.
+    (["simulate", "--config", str(GOLDEN / "tight_pinhole.yaml"), "--format", "json"],
+     "simulate_tight_pinhole.json"),
 ])
 def test_cli_output_matches_golden(args, name):
     result = CliRunner().invoke(main, args, catch_exceptions=False)

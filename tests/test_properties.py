@@ -21,9 +21,18 @@ from mwmono import (
     de_broglie_wavelength,
     diffraction_angle,
     incidence_for_output,
+    select_path,
+    trace_velocity,
     velocity_divergence,
 )
-from mwmono.beamline import BASELINE_ORDER, BASELINE_THETA_INC, _baseline_grid, _beam_grid
+from mwmono.beamline import (
+    BASELINE_ORDER,
+    BASELINE_THETA_INC,
+    _baseline_counts,
+    _beam_counts,
+    _pinhole_bounds,
+    _row_counts,
+)
 from mwmono.diffraction import HBAR
 
 HELIUM = Particle(mass=6.6464731e-27, name="helium-4")
@@ -135,6 +144,54 @@ def test_order_steps_are_monotone_in_sin_space(theta, v):
 diameters = st.floats(min_value=-12.0, max_value=3.0).map(lambda e: 10.0 ** e)
 
 
+def _pinhole_passes(theta_exit, theta_ref, pinholes, dx):
+    """Cells of exit-point displacement ``dx`` passing every pinhole, each evaluated."""
+    rel = theta_exit - theta_ref
+    along = dx * math.cos(theta_ref)
+    passed = np.ones(np.broadcast_shapes(rel.shape, dx.shape), dtype=bool)
+    for ph in pinholes:
+        t = (ph.distance - dx * math.sin(theta_ref)) / np.cos(rel)
+        off = along + t * np.sin(rel)
+        passed &= (off >= -ph.diameter / 2) & (off <= ph.diameter / 2)
+    return passed
+
+
+def _every_cell_counts(spec, bl, p, g, nv, nu, device):
+    """Per-row passing offsets with every cut evaluated on every grid cell."""
+    vbar = spec.center_velocity
+    velocities = np.linspace(vbar - spec.full_width / 2, vbar + spec.full_width / 2, nv)
+    offsets = np.linspace(-bl.source_pinhole.diameter / 2, bl.source_pinhole.diameter / 2, nu)
+    step = (2.0 * math.pi * HBAR / (p.mass * g.period) / velocities)[:, None]
+    if not device:
+        theta_inc, order = BASELINE_THETA_INC, BASELINE_ORDER
+        s_exit = math.sin(theta_inc) + order * step
+        theta_ref = math.asin(math.sin(theta_inc) + order * (
+            2.0 * math.pi * HBAR / (p.mass * g.period) / vbar))
+        passed = _pinhole_passes(np.arcsin(np.clip(s_exit, -1.0, 1.0)), theta_ref,
+                                 bl.exit_pinholes, offsets / math.cos(theta_inc))
+        return np.where(np.abs(s_exit[:, 0]) <= 1.0, passed.sum(axis=1), 0)
+    setting, s, length = bl.setting, bl.device.separation, bl.device.length
+    theta_inc = incidence_for_output(setting, p, g, vbar)
+    path = select_path(setting, p, g, vbar, bl.device)
+    central = trace_velocity(vbar, path, bl, p, g, theta_inc)
+    entry_window = min(s * math.tan(theta_inc), length)
+    s1 = math.sin(theta_inc) + path.n1 * step
+    s2 = s1 + path.n2 * step
+    s3 = s2 + path.n3 * step
+    valid = (np.abs(s1) <= 1.0) & (np.abs(s2) <= 1.0) & (np.abs(s3) <= 1.0)
+    theta_exit = np.arcsin(np.clip(s3, -1.0, 1.0))
+    x1 = entry_window / 2 + offsets / math.cos(theta_inc)
+    x2 = x1 + s * np.tan(np.arcsin(np.clip(s1, -1.0, 1.0)))
+    x3 = x2 + s * np.tan(np.arcsin(np.clip(s2, -1.0, 1.0)))
+    x_clear = x3 + s * np.tan(theta_exit)
+    passed = (valid & (x1 >= 0.0) & (x1 <= entry_window)
+              & (x2 >= 0.0) & (x2 <= length) & (x3 >= 0.0) & (x3 <= length)
+              & ~((x_clear > 0.0) & (x_clear < length))
+              & _pinhole_passes(theta_exit, central.angle, bl.exit_pinholes,
+                                x3 - central.position))
+    return passed.sum(axis=1)
+
+
 @settings(max_examples=150, deadline=None)
 @given(v=st.floats(min_value=300.0, max_value=5000.0),
        nv=st.integers(min_value=3, max_value=400), nu=st.integers(min_value=1, max_value=80),
@@ -142,10 +199,10 @@ diameters = st.floats(min_value=-12.0, max_value=3.0).map(lambda e: 10.0 ** e)
        theta_out_deg=st.floats(min_value=60.0, max_value=89.0),
        length_mm=st.floats(min_value=10.0, max_value=120.0))
 def test_row_counts_match_every_cell(v, nv, nu, source, exits, theta_out_deg, length_mm):
-    # Rows settled from their two end columns must count exactly the cells
-    # the same cut expressions pass when every column is evaluated.  The
-    # exit angle and plate length vary so that the exit clearance cuts too,
-    # and wide-open exit pinholes leave the device cuts to decide alone.
+    # Rows counted from their cut intervals must count exactly the cells the
+    # cut expressions pass when every cell is evaluated.  The exit angle and
+    # plate length vary so that the exit clearance cuts too, and wide-open
+    # exit pinholes leave the device cuts to decide alone.
     cfg = RunConfig.from_dict({"setting": {"theta_out_deg": theta_out_deg},
                                "device": {"length_mm": length_mm}})
     bl = cfg.beamline()
@@ -156,14 +213,40 @@ def test_row_counts_match_every_cell(v, nv, nu, source, exits, theta_out_deg, le
     )
     spec = BeamSpec(v)
     p, g = cfg.particle(), cfg.grating()
-    builds = [
-        lambda: _beam_grid(spec, bl, p, g, None, nv, nu),
-        lambda: _baseline_grid(spec, bl, p, g, BASELINE_THETA_INC, BASELINE_ORDER, nv, nu),
-    ]
-    for build in builds:
+    kernels = {
+        True: lambda: _beam_counts(spec, bl, p, g, None, nv, nu),
+        False: lambda: _baseline_counts(spec, bl, p, g, BASELINE_THETA_INC, BASELINE_ORDER,
+                                        nv, nu),
+    }
+    for device, count in kernels.items():
         try:
-            _, grid, _ = build()
+            _, counts, _ = count()
         except MonochromatorError:
             continue
-        every = np.where(grid.valid, grid.cell_counts(slice(None)), 0)
-        assert np.array_equal(grid.row_counts(), every)
+        assert np.array_equal(counts, _every_cell_counts(spec, bl, p, g, nv, nu, device))
+
+
+@pytest.mark.parametrize("theta_ref, theta_exit, diameter, expected", [
+    # arcsin(1) exits at pi/2, where the slope at this reference is exactly 0:
+    # the row's one offset passes every column (wide pinhole, or the offset
+    # exactly on the edge, where 0 / 0 would be NaN) or none (narrow pinhole).
+    (0.1013, math.pi / 2, 30.0, 41),
+    (0.1013, math.pi / 2, 2 * 0.3 * float(np.tan(np.arcsin(1.0) - 0.1013)), 41),
+    (0.1013, math.pi / 2, 1e-2, 0),
+    # A row exiting far below the reference has a negative slope; the pinhole
+    # edge lies between columns, so the row passes in part, as every cell says.
+    (1.3, -1.3, 2 * (0.3 * math.tan(-2.6) + 0.31 * 3.7e-4), None),
+])
+def test_pinhole_bounds_of_flat_and_reversed_rows(theta_ref, theta_exit, diameter, expected):
+    theta_exit = np.array([np.arcsin(np.sin(theta_exit))])
+    pinholes = (Pinhole(abs(diameter), 0.3),)
+    dx = np.linspace(-1e-3, 1e-3, 41)
+    lo, hi = _pinhole_bounds(theta_exit, theta_ref, pinholes)
+    assert not np.isnan(lo).any() and not np.isnan(hi).any()
+    counts = _row_counts(np.array([True]), dx, lo, hi)
+    if expected is None:
+        every = _pinhole_passes(theta_exit[:, None], theta_ref, pinholes, dx).sum(axis=1)
+        assert 0 < counts[0] < dx.size
+        assert np.array_equal(counts, every)
+    else:
+        assert counts[0] == expected
