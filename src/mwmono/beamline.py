@@ -16,6 +16,11 @@ Sampling is deterministic: uniform grids over velocity and over the source
 aperture.  Tracing is side-effect free and reduced by plain summation, so
 results do not depend on evaluation order.
 
+One row function serves both kernels: each bounce's angle, and whether all
+propagate, for an array of velocities.  Each kernel reads its reference ray
+(the centre velocity through the axis) from one extra row of the same call,
+and ``trace_velocity`` is a one-row evaluation of the device rows.
+
 Rows are counted from intervals.  At a fixed velocity (one grid row) every
 cut is affine in the source offset u, and so in the row's sorted column
 coordinate: x1 = window/2 + u / cos(theta_inc) in the device, dx = u /
@@ -29,9 +34,9 @@ cut expressions give on every cell: each cut's value is monotone in the
 column coordinate (the pinhole offset up to a few ulps), so the columns it
 passes are those on one side of its edge.  The two can differ only for a
 column within a few ulps of an edge, where the rounded cell value and the
-edge rounded into column space may fall on opposite sides.  A property test
-checks exact equality with the every-cell count; the README grids and the
-property's ranges never met such a column.
+edge rounded into column space may fall on opposite sides.  Property tests
+check equality with the every-cell count and with ``trace_velocity`` at every
+offset; the README grids and the tests' ranges never met such a column.
 """
 
 from __future__ import annotations
@@ -78,6 +83,8 @@ class BeamSpec:
                 "center_velocity must exceed half the width "
                 f"({self.center_velocity} vs {self.full_width / 2})"
             )
+        if not math.isfinite(self.center_velocity + self.full_width / 2):
+            raise ValueError(f"center_velocity {self.center_velocity} + half the width overflows")
 
     @property
     def speed_ratio(self) -> float:
@@ -148,9 +155,34 @@ class BeamlineResult:
         }
 
 
-def _sin_step(particle: Particle, grating: Grating, v):
-    """Per-order shift of sin(theta): lambda/period, vectorized over v."""
-    return 2.0 * math.pi * HBAR / (particle.mass * grating.period) / v
+def _exit_rows(theta_inc, orders, particle, grating, v):
+    """Angle after each bounce of ``orders`` for every velocity in ``v``, and which rows propagate.
+
+    Each order shifts sin(theta) by lambda/period = 2 pi hbar / (m a) / v; evanescent rows get
+    clipped angles.  A step that overflows (subnormal v; 0 * inf is NaN) is evanescent.
+    """
+    angles, sine, valid = [], math.sin(theta_inc), True
+    with np.errstate(over="ignore", invalid="ignore"):
+        step = 2.0 * math.pi * HBAR / (particle.mass * grating.period) / v
+        for n in orders:
+            sine = sine + n * step
+            valid &= np.abs(sine) <= 1.0
+            angles.append(np.arcsin(np.clip(sine, -1.0, 1.0)))
+    return angles, valid
+
+
+def _device_rows(theta_inc, path, device, particle, grating, v, x1):
+    """Rises s * tan(angle) of the three bounces, exit angle and validity per velocity,
+    and the ray entering at ``x1`` on the last velocity (None when a cut blocks it)."""
+    angles, valid = _exit_rows(theta_inc, path.orders, particle, grating, v)
+    rises = [device.separation * np.tan(a) for a in angles]
+    x2 = x1 + rises[0][-1]
+    x3 = x2 + rises[1][-1]
+    x_clear = x3 + rises[2][-1]
+    length, ray = device.length, None
+    if valid[-1] and 0.0 <= x2 <= length and 0.0 <= x3 <= length and not 0.0 < x_clear < length:
+        ray = ExitRay(position=float(x3), angle=float(angles[-1][-1]))
+    return rises, angles[-1], valid, ray
 
 
 def trace_velocity(
@@ -162,7 +194,7 @@ def trace_velocity(
     theta_inc: float,
     offset: float = 0.0,
 ) -> ExitRay | None:
-    """Trace one ray through the three-bounce device.
+    """Trace one ray through the three-bounce device: one row of the kernel's rows.
 
     ``offset`` is the ray's transverse distance from the beam axis at the
     source.  Returns None when the ray is blocked: an evanescent order, a
@@ -170,35 +202,12 @@ def trace_velocity(
     open ends.
     """
     device = beamline.device
-    s = device.separation
-    length = device.length
-    entry_window = min(s * math.tan(theta_inc), length)
-    if entry_window <= 0:
-        return None
+    entry_window = min(device.separation * math.tan(theta_inc), device.length)
     x1 = entry_window / 2 + offset / math.cos(theta_inc)
-    if not 0.0 <= x1 <= entry_window:
+    if entry_window <= 0 or not 0.0 <= x1 <= entry_window:
         return None
-
-    step = _sin_step(particle, grating, v)
-    s1 = math.sin(theta_inc) + path.n1 * step
-    if abs(s1) > 1.0:
-        return None
-    s2 = s1 + path.n2 * step
-    if abs(s2) > 1.0:
-        return None
-    s3 = s2 + path.n3 * step
-    if abs(s3) > 1.0:
-        return None
-    alpha1, alpha2, theta_exit = math.asin(s1), math.asin(s2), math.asin(s3)
-
-    x2 = x1 + s * math.tan(alpha1)
-    x3 = x2 + s * math.tan(alpha2)
-    if not (0.0 <= x2 <= length and 0.0 <= x3 <= length):
-        return None
-    x_clear = x3 + s * math.tan(theta_exit)
-    if 0.0 < x_clear < length:
-        return None
-    return ExitRay(position=x3, angle=theta_exit)
+    return _device_rows(theta_inc, path, device, particle, grating, np.array([v], dtype=float),
+                        x1)[-1]
 
 
 def select_path(
@@ -353,9 +362,8 @@ def _beam_counts(spec, beamline, particle, grating, path, velocity_bins, offset_
             f"path {path.orders} has no transmission rate for this grating"
         )
 
-    s = device.separation
     length = device.length
-    entry_window = min(s * math.tan(theta_inc), length)
+    entry_window = min(device.separation * math.tan(theta_inc), length)
     if entry_window <= 0:
         raise EmptyTransmissionError(
             "entry window closed at this incidence angle",
@@ -363,22 +371,15 @@ def _beam_counts(spec, beamline, particle, grating, path, velocity_bins, offset_
         )
     velocities, offsets = _axes(spec, beamline, velocity_bins, offset_samples)
 
-    step = _sin_step(particle, grating, velocities)
-    s1 = math.sin(theta_inc) + path.n1 * step
-    s2 = s1 + path.n2 * step
-    s3 = s2 + path.n3 * step
-    valid = (np.abs(s1) <= 1.0) & (np.abs(s2) <= 1.0) & (np.abs(s3) <= 1.0)
-    theta_exit = np.arcsin(np.clip(s3, -1.0, 1.0))
-    rise1 = s * np.tan(np.arcsin(np.clip(s1, -1.0, 1.0)))
-    rise2 = s * np.tan(np.arcsin(np.clip(s2, -1.0, 1.0)))
-    rise3 = s * np.tan(theta_exit)
+    # One extra row at the centre velocity holds the reference ray through the axis.
+    (rise1, rise2, rise3), theta_exit, valid, central = _device_rows(
+        theta_inc, path, device, particle, grating, np.append(velocities, vbar), entry_window / 2
+    )
 
     # The entry window depends on the offset alone: keep the columns in front.
     x1 = entry_window / 2 + offsets / math.cos(theta_inc)
     x1 = x1[(x1 >= 0.0) & (x1 <= entry_window)]
 
-    # Reference ray: centre velocity through the beam axis.
-    central = trace_velocity(vbar, path, beamline, particle, grating, theta_inc)
     if central is None:
         raise EmptyTransmissionError(
             "central ray blocked inside the device",
@@ -394,7 +395,7 @@ def _beam_counts(spec, beamline, particle, grating, path, velocity_bins, offset_
     lo = np.maximum.reduce([-rise1, -rise12, lo + shift])
     hi = np.minimum.reduce([length - rise1, length - rise12, hi + shift])
     rise = rise12 + rise3
-    counts = _row_counts(valid, x1, lo, hi, gap=(-rise, length - rise))
+    counts = _row_counts(valid, x1, lo, hi, gap=(-rise, length - rise))[:-1]
     return velocities, counts, path.transmission
 
 
@@ -427,26 +428,23 @@ def _baseline_counts(spec, beamline, particle, grating, theta_inc, order,
     vbar = spec.center_velocity
     velocities, offsets = _axes(spec, beamline, velocity_bins, offset_samples)
 
-    step = _sin_step(particle, grating, velocities)
-    s_exit = math.sin(theta_inc) + order * step
-    valid = np.abs(s_exit) <= 1.0
-    theta_exit = np.arcsin(np.clip(s_exit, -1.0, 1.0))
-
-    s_ref = math.sin(theta_inc) + order * float(_sin_step(particle, grating, vbar))
-    if abs(s_ref) > 1.0:
+    # The last row, at the centre velocity, is the reference ray.
+    (theta_exit,), valid = _exit_rows(
+        theta_inc, (order,), particle, grating, np.append(velocities, vbar)
+    )
+    if not valid[-1]:
         raise EmptyTransmissionError(
             "baseline centre velocity evanescent",
             configuration={"v": vbar, "order": order},
         )
-    theta_ref = math.asin(s_ref)
 
     dx = offsets / math.cos(theta_inc)  # reflection point along the plate
     prob = grating.reflection_probabilities.get(abs(order))
     if prob is None:
         raise ConfigurationError(f"no reflection probability for |order| = {abs(order)}")
 
-    lo, hi = _pinhole_bounds(theta_exit, theta_ref, beamline.exit_pinholes)
-    return velocities, _row_counts(valid, dx, lo, hi), prob
+    lo, hi = _pinhole_bounds(theta_exit, theta_exit[-1], beamline.exit_pinholes)
+    return velocities, _row_counts(valid, dx, lo, hi)[:-1], prob
 
 
 def single_reflection_baseline(
@@ -495,8 +493,9 @@ def scan_speed_ratio(
     """Speed ratio before and after the device across centre velocities.
 
     The incidence angle is re-solved per centre velocity.  Rows where no
-    weight is transmitted, the velocity is below cutoff or the centre is not
-    above half the width are emitted with a flag instead of being dropped.
+    weight is transmitted, the velocity is below cutoff, or the centre is not
+    above half the width or plus half the width overflows, are emitted with a
+    flag instead of being dropped.
     """
     rows = []
     for vbar in v_centers:

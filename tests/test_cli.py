@@ -276,6 +276,32 @@ class TestSimulateAndScan:
         payload = json.loads(result.stdout, parse_constant=reject)
         assert math.isfinite(payload["delta_v_std_mps"])
 
+    def test_overflowing_beam_exits_2(self, capsys):
+        # The top of the velocity axis, 1e308 + 8e307, overflows to Infinity.
+        assert entrypoint(["simulate", "--v-center", "1e308", "--v-width", "1.6e308",
+                           "--theta-out-deg", "75", "--format", "json"]) == 2
+        assert "invalid config at beam: " in capsys.readouterr().err
+
+    def test_overflowing_scan_centre_is_flagged(self, runner):
+        result = invoke(runner, ["scan", "--v-min", "1.5e308", "--v-max", "1.5e308",
+                                 "--v-center", "1e308", "--v-width", "1e308"])
+        assert result.exit_code == 3
+        assert result.output.split("\n")[1] == "1.5e+308,1.5,,,,invalid_center"
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("baseline", ["{order: -1}", "{order: 0}"])
+    def test_subnormal_velocities_warn_nothing(self, runner, tmp_path, baseline):
+        # The sine step 2 pi hbar / (m a) / v overflows here; with order 0 the
+        # shift 0 * inf is NaN.  Every row is evanescent either way.
+        cfg = tmp_path / "baseline.yaml"
+        cfg.write_text(f"baseline: {baseline}\n")
+        result = invoke(runner, ["scan", "--config", str(cfg), "--v-min", "1e-307",
+                                 "--v-max", "1e-307", "--v-width", "1e-307"])
+        assert result.exit_code == 3
+        assert result.output == ("v_center_mps,speed_ratio_in,speed_ratio_out,"
+                                 "speed_ratio_baseline,throughput,flag\n"
+                                 "1e-307,1.0,,,,below_cutoff\n")
+
 
 class TestGridBounds:
     @pytest.mark.parametrize("command", ["incidence-table", "divergence-table", "scan"])

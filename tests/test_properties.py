@@ -226,6 +226,36 @@ def test_row_counts_match_every_cell(v, nv, nu, source, exits, theta_out_deg, le
         assert np.array_equal(counts, _every_cell_counts(spec, bl, p, g, nv, nu, device))
 
 
+@settings(max_examples=100, deadline=None)
+@given(v=st.floats(min_value=300.0, max_value=5000.0),
+       nv=st.integers(min_value=3, max_value=30), nu=st.integers(min_value=1, max_value=30),
+       source=diameters, theta_out_deg=st.floats(min_value=60.0, max_value=89.0),
+       length_mm=st.floats(min_value=10.0, max_value=120.0))
+def test_row_counts_match_traced_rays(v, nv, nu, source, theta_out_deg, length_mm):
+    # With the exit pinholes wide open, each row passes exactly the source
+    # offsets whose ray trace_velocity carries through the device.
+    cfg = RunConfig.from_dict({"setting": {"theta_out_deg": theta_out_deg},
+                               "device": {"length_mm": length_mm}})
+    bl = cfg.beamline()
+    bl = dataclasses.replace(
+        bl,
+        source_pinhole=Pinhole(source, bl.source_pinhole.distance),
+        exit_pinholes=tuple(Pinhole(1e3, p.distance) for p in bl.exit_pinholes),
+    )
+    p, g = cfg.particle(), cfg.grating()
+    try:
+        velocities, counts, _ = _beam_counts(BeamSpec(v), bl, p, g, None, nv, nu)
+    except MonochromatorError:
+        return
+    theta_inc = incidence_for_output(bl.setting, p, g, v)
+    path = select_path(bl.setting, p, g, v, bl.device)
+    offsets = np.linspace(-source / 2, source / 2, nu).tolist()
+    traced = [sum(trace_velocity(row, path, bl, p, g, theta_inc, offset=u) is not None
+                  for u in offsets)
+              for row in velocities.tolist()]
+    assert counts.tolist() == traced
+
+
 @pytest.mark.parametrize("theta_ref, theta_exit, diameter, expected", [
     # arcsin(1) exits at pi/2, where the slope at this reference is exactly 0:
     # the row's one offset passes every column (wide pinhole, or the offset
