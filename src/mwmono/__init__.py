@@ -7,18 +7,6 @@ velocity distributions and speed ratios for a continuous atom beam.
 
 __version__ = "0.1.0"
 
-from .beamline import (
-    BeamlineResult,
-    Beamline,
-    BeamSpec,
-    Pinhole,
-    ScanRow,
-    scan_speed_ratio,
-    select_path,
-    simulate_beam,
-    single_reflection_baseline,
-    trace_velocity,
-)
 from .config import RunConfig, dump_default_config
 from .diffraction import (
     HBAR,
@@ -41,10 +29,13 @@ from .errors import (
     MonochromatorError,
 )
 from .geometry import (
+    Beamline,
+    BeamSpec,
     DeviceGeometry,
     DiffractionPath,
     FeasibilityBand,
     PathGroup,
+    Pinhole,
     enumerate_paths,
     feasibility_band,
     group_paths_by_geometry,
@@ -97,3 +88,18 @@ __all__ = [
     "trace_velocity",
     "velocity_divergence",
 ]
+
+#: Names of the numpy kernel module, loaded on first access (PEP 562).
+_KERNEL_NAMES = frozenset({"BeamlineResult", "ScanRow", "scan_speed_ratio", "select_path",
+                           "simulate_beam", "single_reflection_baseline", "trace_velocity"})
+
+
+def __getattr__(name):
+    if name not in _KERNEL_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import beamline
+
+    # Cached in the module, so later lookups bypass this function and see the
+    # same object as mwmono.beamline.
+    value = globals()[name] = getattr(beamline, name)
+    return value

@@ -54,69 +54,16 @@ from .diffraction import (
     incidence_for_output,
 )
 from .errors import BelowCutoffError, ConfigurationError, EmptyTransmissionError
-from .geometry import DeviceGeometry, DiffractionPath, enumerate_paths
-
-DEFAULT_VELOCITY_BINS = 2001
-DEFAULT_OFFSET_SAMPLES = 201
-
-#: Largest grids the kernels accept, far above the 8001 x 801 convergence check.
-MAX_VELOCITY_BINS = 100_001
-MAX_OFFSET_SAMPLES = 10_001
+# The domain objects and grid bounds live in geometry, which loads no numpy;
+# they stay importable from here too.
+from .geometry import (
+    DEFAULT_OFFSET_SAMPLES, DEFAULT_VELOCITY_BINS, MAX_OFFSET_SAMPLES, MAX_VELOCITY_BINS,
+    Beamline, BeamSpec, DeviceGeometry, DiffractionPath, Pinhole, _check_grid, enumerate_paths,
+)
 
 #: Baseline comparison: one bounce at this incidence angle, first order.
 BASELINE_THETA_INC = math.radians(50.0)
 BASELINE_ORDER = -1
-
-
-@dataclass(frozen=True)
-class BeamSpec:
-    """Incoming beam: rectangular velocity distribution around a centre."""
-
-    center_velocity: float  # m/s
-    full_width: float = 500.0  # m/s
-
-    def __post_init__(self):
-        if not self.full_width > 0:
-            raise ValueError(f"full_width must be positive, got {self.full_width}")
-        if not self.center_velocity > self.full_width / 2:
-            raise ValueError(
-                "center_velocity must exceed half the width "
-                f"({self.center_velocity} vs {self.full_width / 2})"
-            )
-        if not math.isfinite(self.center_velocity + self.full_width / 2):
-            raise ValueError(f"center_velocity {self.center_velocity} + half the width overflows")
-
-    @property
-    def speed_ratio(self) -> float:
-        """Input speed ratio; the rectangle's FWHM is its full width."""
-        return self.center_velocity / self.full_width
-
-
-@dataclass(frozen=True)
-class Pinhole:
-    """Aperture modelled as a slit in the diffraction plane."""
-
-    diameter: float  # m
-    distance: float  # m, along the relevant beam axis
-
-    def __post_init__(self):
-        if not self.diameter > 0 or not self.distance > 0:
-            raise ValueError("pinhole diameter and distance must be positive")
-
-
-@dataclass(frozen=True)
-class Beamline:
-    """Source pinhole, device and downstream pinholes."""
-
-    source_pinhole: Pinhole
-    exit_pinholes: tuple[Pinhole, ...]
-    device: DeviceGeometry
-    setting: MonochromatorSetting
-
-    def __post_init__(self):
-        distances = [p.distance for p in self.exit_pinholes]
-        if distances != sorted(distances):
-            raise ValueError("exit pinholes must be ordered by increasing distance")
 
 
 @dataclass(frozen=True)
@@ -283,20 +230,16 @@ def _row_counts(valid, x, lo, hi, gap=None):
     return counts
 
 
-def _check_grid(velocity_bins: int, offset_samples: int) -> None:
-    if velocity_bins < 3 or offset_samples < 1:
-        raise ConfigurationError(f"grid {velocity_bins} x {offset_samples} is below 3 x 1")
-    if velocity_bins > MAX_VELOCITY_BINS or offset_samples > MAX_OFFSET_SAMPLES:
-        raise ConfigurationError(
-            f"grid {velocity_bins} x {offset_samples} exceeds the limit "
-            f"{MAX_VELOCITY_BINS} x {MAX_OFFSET_SAMPLES}"
-        )
-
-
 def _axes(spec: BeamSpec, beamline: Beamline, velocity_bins: int, offset_samples: int):
     """Velocity bin centres and source offsets of the sampling grid."""
     vbar, radius = spec.center_velocity, beamline.source_pinhole.diameter / 2
     velocities = np.linspace(vbar - spec.full_width / 2, vbar + spec.full_width / 2, velocity_bins)
+    # Distinct bin centres keep every FWHM positive and so the speed ratio finite.
+    if not (velocities[1:] > velocities[:-1]).all():
+        raise ConfigurationError(
+            f"beam width {spec.full_width} m/s cannot be split into {velocity_bins} distinct "
+            f"velocity bins at {vbar} m/s"
+        )
     return velocities, np.linspace(-radius, radius, offset_samples)
 
 
@@ -316,7 +259,7 @@ def _fwhm(x: np.ndarray, w: np.ndarray) -> float:
     if right > left:
         return right - left
     # Single populated bin: resolution-limited width.
-    return float(x[1] - x[0]) if len(x) > 1 else 0.0
+    return float(x[1] - x[0])
 
 
 def _reduce(spec, velocities, weights) -> BeamlineResult:
@@ -329,8 +272,7 @@ def _reduce(spec, velocities, weights) -> BeamlineResult:
     mean = float((weights * velocities).sum() / total)
     # Deviations are scaled by a power of two within a factor 2 of the largest
     # of them, so their squares cannot overflow; the scaling is exact in
-    # binary floating point.  (The beam width would not do once the mean's
-    # rounding exceeds it.)
+    # binary floating point.
     deviations = velocities - mean
     scale = math.ldexp(0.5, math.frexp(float(np.abs(deviations).max()))[1])
     var = float((weights * (deviations / scale) ** 2).sum() / total)
@@ -342,7 +284,7 @@ def _reduce(spec, velocities, weights) -> BeamlineResult:
         mean_velocity=mean,
         delta_v=width,
         delta_v_std=std,
-        speed_ratio=mean / width if width > 0 else math.inf,
+        speed_ratio=mean / width,
         input_speed_ratio=spec.speed_ratio,
         throughput=float(total),
     )

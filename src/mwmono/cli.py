@@ -21,7 +21,6 @@ import sys
 import click
 
 from . import __version__
-from .beamline import scan_speed_ratio, simulate_beam, single_reflection_baseline
 from .config import RunConfig, _merge, dump_default_config, read_config
 from .diffraction import (
     MonochromatorSetting,
@@ -214,6 +213,9 @@ _PATH_HEADER = [
 @common_options
 def simulate_cmd(cfg, out, fmt):
     """Full beamline simulation at the configured centre velocity (JSON)."""
+    # The kernels load numpy, which only simulate and scan need.
+    from .beamline import simulate_beam, single_reflection_baseline
+
     result = simulate_beam(
         cfg.beam(), cfg.beamline(), cfg.particle(), cfg.grating(),
         velocity_bins=cfg.velocity_bins, offset_samples=cfg.offset_samples,
@@ -235,6 +237,8 @@ def simulate_cmd(cfg, out, fmt):
 @click.option("--v-step", type=float, default=100.0, show_default=True)
 def scan_cmd(cfg, out, fmt, v_min, v_max, v_step):
     """Speed-ratio scan over centre velocities (CSV)."""
+    from .beamline import scan_speed_ratio
+
     rows_out = scan_speed_ratio(
         _velocity_grid(v_min, v_max, v_step),
         cfg.beam().full_width,

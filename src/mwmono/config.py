@@ -14,19 +14,17 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import yaml
-
-from .beamline import (
+from .diffraction import Grating, MonochromatorSetting, Particle, _MAX_ORDER
+from .errors import ConfigurationError
+from .geometry import (
     DEFAULT_OFFSET_SAMPLES,
     DEFAULT_VELOCITY_BINS,
     BeamSpec,
     Beamline,
+    DeviceGeometry,
     Pinhole,
     _check_grid,
 )
-from .diffraction import Grating, MonochromatorSetting, Particle, _MAX_ORDER
-from .errors import ConfigurationError
-from .geometry import DeviceGeometry
 from .presets import get_material, get_particle
 
 #: Each default also fixes its value's type: a float accepts any number, an int only integers.
@@ -105,6 +103,8 @@ def _check_shape(value, template, path: str = "") -> None:
 
 def read_config(path: str | Path) -> dict:
     """The mapping in a YAML or JSON file, unvalidated; an empty file gives {}."""
+    import yaml  # only here and in dump_default_config: most commands read no file
+
     try:
         raw = yaml.safe_load(Path(path).read_text())
     except (OSError, ValueError, yaml.YAMLError) as exc:
@@ -220,4 +220,6 @@ def _pinhole(spec: dict) -> Pinhole:
 
 def dump_default_config() -> str:
     """Default configuration as an editable YAML document."""
+    import yaml
+
     return yaml.safe_dump(DEFAULT_CONFIG, sort_keys=False)

@@ -5,6 +5,10 @@ A path through the device is the triple of internal diffraction orders
 surviving path fixes the two internal angles, the first-to-third reflection
 span relative to the plate separation (the geometry ratio d/s), and the
 transmission rate, the product of the per-bounce diffraction populations.
+
+The beamline's domain objects (beam, pinholes, beamline) and the sampling
+grid's bounds live here too, so that building and validating a config never
+loads the numpy kernels of :mod:`mwmono.beamline`.
 """
 
 from __future__ import annotations
@@ -26,6 +30,13 @@ from .errors import ConfigurationError
 #: Relative tolerance used to merge paths with equal geometry ratio.
 GROUP_RTOL = 1e-9
 
+DEFAULT_VELOCITY_BINS = 2001
+DEFAULT_OFFSET_SAMPLES = 201
+
+#: Largest grids the kernels accept, far above the 8001 x 801 convergence check.
+MAX_VELOCITY_BINS = 100_001
+MAX_OFFSET_SAMPLES = 10_001
+
 
 @dataclass(frozen=True)
 class DeviceGeometry:
@@ -44,6 +55,67 @@ class DeviceGeometry:
     def length_ratio(self) -> float:
         """Length-to-separation ratio l/s."""
         return self.length / self.separation
+
+
+@dataclass(frozen=True)
+class BeamSpec:
+    """Incoming beam: rectangular velocity distribution around a centre."""
+
+    center_velocity: float  # m/s
+    full_width: float = 500.0  # m/s
+
+    def __post_init__(self):
+        if not self.full_width > 0:
+            raise ValueError(f"full_width must be positive, got {self.full_width}")
+        if not self.center_velocity > self.full_width / 2:
+            raise ValueError(
+                "center_velocity must exceed half the width "
+                f"({self.center_velocity} vs {self.full_width / 2})"
+            )
+        if not math.isfinite(self.center_velocity + self.full_width / 2):
+            raise ValueError(f"center_velocity {self.center_velocity} + half the width overflows")
+
+    @property
+    def speed_ratio(self) -> float:
+        """Input speed ratio; the rectangle's FWHM is its full width."""
+        return self.center_velocity / self.full_width
+
+
+@dataclass(frozen=True)
+class Pinhole:
+    """Aperture modelled as a slit in the diffraction plane."""
+
+    diameter: float  # m
+    distance: float  # m, along the relevant beam axis
+
+    def __post_init__(self):
+        if not self.diameter > 0 or not self.distance > 0:
+            raise ValueError("pinhole diameter and distance must be positive")
+
+
+@dataclass(frozen=True)
+class Beamline:
+    """Source pinhole, device and downstream pinholes."""
+
+    source_pinhole: Pinhole
+    exit_pinholes: tuple[Pinhole, ...]
+    device: DeviceGeometry
+    setting: MonochromatorSetting
+
+    def __post_init__(self):
+        distances = [p.distance for p in self.exit_pinholes]
+        if distances != sorted(distances):
+            raise ValueError("exit pinholes must be ordered by increasing distance")
+
+
+def _check_grid(velocity_bins: int, offset_samples: int) -> None:
+    if velocity_bins < 3 or offset_samples < 1:
+        raise ConfigurationError(f"grid {velocity_bins} x {offset_samples} is below 3 x 1")
+    if velocity_bins > MAX_VELOCITY_BINS or offset_samples > MAX_OFFSET_SAMPLES:
+        raise ConfigurationError(
+            f"grid {velocity_bins} x {offset_samples} exceeds the limit "
+            f"{MAX_VELOCITY_BINS} x {MAX_OFFSET_SAMPLES}"
+        )
 
 
 class DiffractionPath(NamedTuple):

@@ -181,15 +181,21 @@ class TestSimulateBeam:
         assert np.array_equal(a.weights, b.weights)
         assert a.speed_ratio == b.speed_ratio
 
-    @pytest.mark.parametrize("center, width", [(1500.0, 1e-300), (1e160, 1e159)])
+    @pytest.mark.parametrize("center, width", [(1e160, 1e159)])
     def test_std_is_finite_at_extreme_widths(self, center, width):
-        # Below the rounding of the mean the width cannot scale the
-        # deviations; far above 1e154 m/s their squares would overflow.
+        # Far above 1e154 m/s the squared deviations would overflow.
         cfg = RunConfig.from_dict({"setting": {"theta_out_deg": 75.0}})
         with np.errstate(over="raise"):
             result = simulate_beam(BeamSpec(center, width), cfg.beamline(),
                                    cfg.particle(), cfg.grating())
         assert math.isfinite(result.delta_v_std)
+
+    @pytest.mark.parametrize("kernel", [simulate_beam, single_reflection_baseline])
+    def test_width_below_bin_spacing_is_a_config_error(self, kernel):
+        # Every bin rounds to 1500 m/s: a zero FWHM once gave an infinite speed ratio.
+        cfg = RunConfig.from_dict({"setting": {"theta_out_deg": 75.0}})
+        with pytest.raises(ConfigurationError, match=r"beam width 1e-300 m/s .* 2001 distinct"):
+            kernel(BeamSpec(1500.0, 1e-300), cfg.beamline(), cfg.particle(), cfg.grating())
 
 
 class TestBaseline:

@@ -1,12 +1,17 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 import yaml
 from click.testing import CliRunner
 from hypothesis import example, given, settings, strategies as st
 
+import mwmono
 from mwmono import RunConfig, velocity_divergence, incidence_for_output
 from mwmono.beamline import MAX_OFFSET_SAMPLES, MAX_VELOCITY_BINS
 from mwmono.cli import entrypoint, main
@@ -282,6 +287,18 @@ class TestSimulateAndScan:
                            "--theta-out-deg", "75", "--format", "json"]) == 2
         assert "invalid config at beam: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args", [
+        ["simulate", "--v-center", "1000", "--format", "json"],
+        ["scan", "--v-min", "1000", "--v-max", "1000"],
+    ])
+    def test_width_below_bin_spacing_exits_2(self, capsys, args):
+        # All 2001 bins round to 1000 m/s; the zero FWHM printed an infinite
+        # speed ratio, which is not JSON.
+        assert entrypoint([*args, "--v-width", "1e-300", "--theta-out-deg", "75"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "config error: beam width 1e-300 m/s cannot be split into 2001" in err
+
     def test_overflowing_scan_centre_is_flagged(self, runner):
         result = invoke(runner, ["scan", "--v-min", "1.5e308", "--v-max", "1.5e308",
                                  "--v-center", "1e308", "--v-width", "1e308"])
@@ -427,3 +444,50 @@ class TestInputContract:
         if order is not None:
             argv.append(f"--order={order}")
         assert entrypoint(argv + ["--config", small_config]) in {0, 2, 3}
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def run_python(code, *args):
+    """Run ``code`` in a fresh interpreter that imports this checkout's mwmono."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(mwmono.__file__).parents[1]), *filter(None, [env.get("PYTHONPATH")])])
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                          timeout=60)
+
+
+class TestLazyImports:
+    """Commands that run no kernel load neither numpy nor, without a file, yaml."""
+
+    @pytest.mark.parametrize("args, expected, blocked", [
+        (["--version"], b"mwmono, version 0.1.0\n", ["numpy", "yaml"]),
+        (["paths", "--v", "1000"], "paths_1000.csv", ["numpy", "yaml"]),
+        (["paths", "--v", "5000", "--format", "json"], "paths_5000.json", ["numpy", "yaml"]),
+        (["incidence-table", "--orders", "1,2,3", "--v-min", "300", "--v-max", "5000",
+          "--v-step", "100"], "incidence_table.csv", ["numpy", "yaml"]),
+        (["divergence-table", "--orders", "1,2,3"], "divergence_table.csv", ["numpy", "yaml"]),
+        (["paths", "--v", "1000", "--config", str(GOLDEN / "default_config.yaml")],
+         "paths_1000.csv", ["numpy"]),
+        (["--dump-default-config"], "default_config.yaml", ["numpy"]),
+    ], ids=["version", "paths-1000", "paths-5000-json", "incidence-table", "divergence-table",
+            "config-file", "dump-default-config"])
+    def test_command_runs_with_modules_blocked(self, args, expected, blocked):
+        # A None entry in sys.modules makes importing that module raise ImportError.
+        code = (f"import sys; sys.modules.update(dict.fromkeys({blocked!r})); "
+                "sys.argv[0] = 'mwmono'; from mwmono.cli import run; run()")
+        proc = run_python(code, *args)
+        assert proc.returncode == 0, proc.stderr.decode()
+        if isinstance(expected, str):
+            expected = (GOLDEN / expected).read_bytes()
+        assert proc.stdout == expected
+
+    def test_config_validation_loads_neither(self):
+        code = ("import sys, mwmono.cli; from mwmono.config import RunConfig; "
+                "cfg = RunConfig.from_dict({}); "
+                "cfg.particle(); cfg.grating(); cfg.setting(); cfg.device(); cfg.beamline(); "
+                "cfg.beam(); print(sorted({'numpy', 'yaml'} & set(sys.modules)))")
+        proc = run_python(code)
+        assert proc.returncode == 0, proc.stderr.decode()
+        assert proc.stdout == b"[]\n"
