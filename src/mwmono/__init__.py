@@ -41,6 +41,7 @@ from .geometry import (
     group_paths_by_geometry,
     path_census,
     path_transmission,
+    select_path,
 )
 from .presets import MATERIALS, PARTICLES, MaterialPreset, get_material, get_particle
 
@@ -90,8 +91,8 @@ __all__ = [
 ]
 
 #: Names of the numpy kernel module, loaded on first access (PEP 562).
-_KERNEL_NAMES = frozenset({"BeamlineResult", "ScanRow", "scan_speed_ratio", "select_path",
-                           "simulate_beam", "single_reflection_baseline", "trace_velocity"})
+_KERNEL_NAMES = frozenset({"BeamlineResult", "ScanRow", "scan_speed_ratio", "simulate_beam",
+                           "single_reflection_baseline", "trace_velocity"})
 
 
 def __getattr__(name):

@@ -46,24 +46,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffraction import (
-    HBAR,
-    Grating,
-    MonochromatorSetting,
-    Particle,
-    incidence_for_output,
-)
+from .diffraction import HBAR, Grating, Particle, incidence_for_output
 from .errors import BelowCutoffError, ConfigurationError, EmptyTransmissionError
-# The domain objects and grid bounds live in geometry, which loads no numpy;
-# they stay importable from here too.
+# The domain objects, grid bounds, baseline defaults and path selection live in
+# geometry, which loads no numpy; they stay importable from here too.
 from .geometry import (
-    DEFAULT_OFFSET_SAMPLES, DEFAULT_VELOCITY_BINS, MAX_OFFSET_SAMPLES, MAX_VELOCITY_BINS,
-    Beamline, BeamSpec, DeviceGeometry, DiffractionPath, Pinhole, _check_grid, enumerate_paths,
+    BASELINE_ORDER, BASELINE_THETA_INC, DEFAULT_OFFSET_SAMPLES, DEFAULT_VELOCITY_BINS,
+    MAX_OFFSET_SAMPLES, MAX_VELOCITY_BINS, Beamline, BeamSpec, DiffractionPath, Pinhole,
+    _check_grid, select_path,
 )
-
-#: Baseline comparison: one bounce at this incidence angle, first order.
-BASELINE_THETA_INC = math.radians(50.0)
-BASELINE_ORDER = -1
 
 
 @dataclass(frozen=True)
@@ -155,37 +146,6 @@ def trace_velocity(
         return None
     return _device_rows(theta_inc, path, device, particle, grating, np.array([v], dtype=float),
                         x1)[-1]
-
-
-def select_path(
-    setting: MonochromatorSetting,
-    particle: Particle,
-    grating: Grating,
-    v: float,
-    device: DeviceGeometry,
-    max_order: int = 2,
-) -> DiffractionPath:
-    """Pick the feasible path with the highest transmission at velocity v.
-
-    Feasible means the device's l/s ratio lies inside the path's band and
-    the grating defines all three reflection probabilities.  Other feasible
-    paths exit at macroscopically different positions and are treated as
-    background removed by the exit pinholes.
-    """
-    paths = enumerate_paths(setting, particle, grating, v, max_order=max_order)
-    ratio = device.length_ratio
-    width = math.tan(setting.theta_out)  # of every path's band; see feasibility_band
-    feasible = [
-        p
-        for p in paths
-        if p.transmission is not None and p.geometry_ratio < ratio < p.geometry_ratio + width
-    ]
-    if not feasible:
-        raise EmptyTransmissionError(
-            f"no feasible path at v = {v} m/s for l/s = {ratio:.3g}",
-            configuration={"v": v, "length_ratio": ratio},
-        )
-    return max(feasible, key=lambda p: (p.transmission, -abs(p.n1), p.orders))
 
 
 def _pinhole_bounds(theta_exit, theta_ref, pinholes):

@@ -216,14 +216,11 @@ def simulate_cmd(cfg, out, fmt):
     # The kernels load numpy, which only simulate and scan need.
     from .beamline import simulate_beam, single_reflection_baseline
 
-    result = simulate_beam(
-        cfg.beam(), cfg.beamline(), cfg.particle(), cfg.grating(),
-        velocity_bins=cfg.velocity_bins, offset_samples=cfg.offset_samples,
-    )
+    domain = cfg.beam(), cfg.beamline(), cfg.particle(), cfg.grating()
+    grid = {"velocity_bins": cfg.velocity_bins, "offset_samples": cfg.offset_samples}
+    result = simulate_beam(*domain, **grid)
     baseline = single_reflection_baseline(
-        cfg.beam(), cfg.beamline(), cfg.particle(), cfg.grating(),
-        theta_inc=cfg.baseline_theta_inc, order=cfg.baseline_order,
-        velocity_bins=cfg.velocity_bins, offset_samples=cfg.offset_samples,
+        *domain, theta_inc=cfg.baseline_theta_inc, order=cfg.baseline_order, **grid
     )
     payload = result.to_dict()
     payload["baseline_speed_ratio"] = baseline.speed_ratio

@@ -17,6 +17,8 @@ from pathlib import Path
 from .diffraction import Grating, MonochromatorSetting, Particle, _MAX_ORDER
 from .errors import ConfigurationError
 from .geometry import (
+    BASELINE_ORDER,
+    BASELINE_THETA_INC,
     DEFAULT_OFFSET_SAMPLES,
     DEFAULT_VELOCITY_BINS,
     BeamSpec,
@@ -45,7 +47,7 @@ DEFAULT_CONFIG: dict = {
         "velocity_bins": DEFAULT_VELOCITY_BINS,
         "offset_samples": DEFAULT_OFFSET_SAMPLES,
     },
-    "baseline": {"theta_inc_deg": 50.0, "order": -1},
+    "baseline": {"theta_inc_deg": math.degrees(BASELINE_THETA_INC), "order": BASELINE_ORDER},
 }
 
 

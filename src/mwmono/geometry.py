@@ -5,10 +5,13 @@ A path through the device is the triple of internal diffraction orders
 surviving path fixes the two internal angles, the first-to-third reflection
 span relative to the plate separation (the geometry ratio d/s), and the
 transmission rate, the product of the per-bounce diffraction populations.
+The device realizes the most transmissive path whose l/s band holds its own
+l/s ratio (:func:`select_path`).
 
-The beamline's domain objects (beam, pinholes, beamline) and the sampling
-grid's bounds live here too, so that building and validating a config never
-loads the numpy kernels of :mod:`mwmono.beamline`.
+The beamline's domain objects (beam, pinholes, beamline), the sampling
+grid's bounds and the baseline's defaults live here too, so that selecting a
+path or building and validating a config never loads the numpy kernels of
+:mod:`mwmono.beamline`.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from .diffraction import (
     incidence_for_output,
     wavelength_ratio,
 )
-from .errors import ConfigurationError
+from .errors import ConfigurationError, EmptyTransmissionError
 
 #: Relative tolerance used to merge paths with equal geometry ratio.
 GROUP_RTOL = 1e-9
@@ -36,6 +39,10 @@ DEFAULT_OFFSET_SAMPLES = 201
 #: Largest grids the kernels accept, far above the 8001 x 801 convergence check.
 MAX_VELOCITY_BINS = 100_001
 MAX_OFFSET_SAMPLES = 10_001
+
+#: Baseline comparison: one bounce at this incidence angle, first order.
+BASELINE_THETA_INC = math.radians(50.0)
+BASELINE_ORDER = -1
 
 
 @dataclass(frozen=True)
@@ -237,6 +244,37 @@ def feasibility_band(path: DiffractionPath, setting: MonochromatorSetting) -> Fe
     """l/s interval in which the device realizes this path."""
     lower = path.geometry_ratio
     return FeasibilityBand(lower=lower, upper=lower + math.tan(setting.theta_out))
+
+
+def select_path(
+    setting: MonochromatorSetting,
+    particle: Particle,
+    grating: Grating,
+    v: float,
+    device: DeviceGeometry,
+    max_order: int = 2,
+) -> DiffractionPath:
+    """Pick the feasible path with the highest transmission at velocity v.
+
+    Feasible means the device's l/s ratio lies inside the path's band and
+    the grating defines all three reflection probabilities.  Other feasible
+    paths exit at macroscopically different positions and are treated as
+    background removed by the exit pinholes.
+    """
+    paths = enumerate_paths(setting, particle, grating, v, max_order=max_order)
+    ratio = device.length_ratio
+    width = math.tan(setting.theta_out)  # of every path's band; see feasibility_band
+    feasible = [
+        p
+        for p in paths
+        if p.transmission is not None and p.geometry_ratio < ratio < p.geometry_ratio + width
+    ]
+    if not feasible:
+        raise EmptyTransmissionError(
+            f"no feasible path at v = {v} m/s for l/s = {ratio:.3g}",
+            configuration={"v": v, "length_ratio": ratio},
+        )
+    return max(feasible, key=lambda p: (p.transmission, -abs(p.n1), p.orders))
 
 
 class PathGroup(NamedTuple):

@@ -6,7 +6,7 @@ import mwmono
 import mwmono.beamline
 import mwmono.geometry
 
-KERNEL_NAMES = ["BeamlineResult", "ScanRow", "scan_speed_ratio", "select_path",
+KERNEL_NAMES = ["BeamlineResult", "ScanRow", "scan_speed_ratio",
                 "simulate_beam", "single_reflection_baseline", "trace_velocity"]
 
 
@@ -28,10 +28,14 @@ def test_kernel_name_is_cached_kernel_object(monkeypatch, name):
 
 @pytest.mark.parametrize("name", [
     "BeamSpec", "Pinhole", "Beamline", "DEFAULT_VELOCITY_BINS", "DEFAULT_OFFSET_SAMPLES",
-    "MAX_VELOCITY_BINS", "MAX_OFFSET_SAMPLES", "_check_grid",
+    "MAX_VELOCITY_BINS", "MAX_OFFSET_SAMPLES", "_check_grid", "select_path",
 ])
 def test_kernel_module_keeps_domain_names(name):
     assert getattr(mwmono.beamline, name) is getattr(mwmono.geometry, name)
+
+
+def test_path_selection_comes_from_geometry():
+    assert mwmono.select_path is mwmono.geometry.select_path
 
 
 def test_unknown_attribute_raises():

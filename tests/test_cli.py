@@ -13,7 +13,9 @@ from hypothesis import example, given, settings, strategies as st
 
 import mwmono
 from mwmono import RunConfig, velocity_divergence, incidence_for_output
-from mwmono.beamline import MAX_OFFSET_SAMPLES, MAX_VELOCITY_BINS
+from mwmono.beamline import (
+    BASELINE_ORDER, BASELINE_THETA_INC, MAX_OFFSET_SAMPLES, MAX_VELOCITY_BINS,
+)
 from mwmono.cli import entrypoint, main
 
 
@@ -33,6 +35,11 @@ class TestConfig:
         assert result.exit_code == 0
         reloaded = RunConfig.from_dict(yaml.safe_load(result.output))
         assert reloaded.to_dict() == RunConfig.from_dict({}).to_dict()
+
+    def test_default_baseline_is_the_kernel_default(self):
+        cfg = RunConfig.from_dict({})
+        assert cfg.baseline_theta_inc == BASELINE_THETA_INC
+        assert cfg.baseline_order == BASELINE_ORDER
 
     def test_json_config_accepted(self, tmp_path, runner):
         cfg = tmp_path / "run.json"
@@ -491,3 +498,18 @@ class TestLazyImports:
         proc = run_python(code)
         assert proc.returncode == 0, proc.stderr.decode()
         assert proc.stdout == b"[]\n"
+
+    def test_path_selection_runs_without_numpy(self):
+        code = ("import sys, mwmono\n"
+                "cfg = mwmono.RunConfig.from_dict({})\n"
+                "args = cfg.setting(), cfg.particle(), cfg.grating()\n"
+                "for v in (300.0, 443.0, 591.0, 739.0, 1000.0, 5000.0):\n"
+                "    path = mwmono.select_path(*args, v, cfg.device())\n"
+                "    print(v, path.orders, mwmono.path_census(*args, v))\n"
+                "print(sys.modules.get('numpy'))\n")
+        blocked = run_python("import sys; sys.modules['numpy'] = None\n" + code)
+        free = run_python(code)
+        assert blocked.returncode == 0, blocked.stderr.decode()
+        assert free.returncode == 0, free.stderr.decode()
+        assert blocked.stdout == free.stdout
+        assert len(free.stdout.splitlines()) == 7 and free.stdout.endswith(b"\nNone\n")
