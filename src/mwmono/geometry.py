@@ -131,6 +131,9 @@ class DiffractionPath(NamedTuple):
     ``transmission`` is None when the grating has no reflection probability
     for one of the orders involved.  A named tuple: immutable and hashable,
     and several times cheaper to build than a frozen dataclass.
+    :func:`enumerate_paths` builds its records with ``tuple.__new__``, which
+    is what the generated ``__new__`` does, without its Python frame: a
+    census sweep builds about 16 records per velocity, twice.
     """
 
     n1: int
@@ -233,10 +236,10 @@ def enumerate_paths(
             if abs(s2 + shift3) > 1.0:
                 continue
             alpha2 = math.asin(s2)
-            paths.append(DiffractionPath(
+            paths.append(tuple.__new__(DiffractionPath, (
                 n1, n2, n3, alpha1, alpha2, total, tan1 + math.tan(alpha2),
                 None if p1 is None or p2 is None or p3 is None else p1 * p2 * p3,
-            ))
+            )))
     return paths
 
 
@@ -277,6 +280,11 @@ def select_path(
     return max(feasible, key=lambda p: (p.transmission, -abs(p.n1), p.orders))
 
 
+def _same_group(ratio: float, ref: float, rtol: float) -> bool:
+    """Whether ``ratio`` joins the group whose first (smallest) ratio is ``ref``."""
+    return abs(ratio - ref) <= rtol * max(1.0, abs(ref))
+
+
 class PathGroup(NamedTuple):
     """Paths sharing a geometry ratio (indistinguishable in the device plane)."""
 
@@ -297,7 +305,7 @@ def group_paths_by_geometry(
     for path in sorted(paths, key=attrgetter("geometry_ratio", "n1", "n2", "n3")):
         if clusters:
             ref, members = clusters[-1]
-            if abs(path.geometry_ratio - ref) <= rtol * max(1.0, abs(ref)):
+            if _same_group(path.geometry_ratio, ref, rtol):
                 members.append(path)
                 continue
         clusters.append((path.geometry_ratio, [path]))
@@ -317,8 +325,14 @@ def path_census(
     ``surviving`` counts those whose two internal orders both propagate;
     ``groups`` counts the clusters of surviving paths with equal d/s within
     ``GROUP_RTOL``, so each symmetric pair (n1, n2, n3) / (n1 + n2, -n2,
-    N - n1), which swaps the two internal angles, forms one group.
+    N - n1), which swaps the two internal angles, forms one group.  They are
+    counted from the sorted ratios by :func:`group_paths_by_geometry`'s rule,
+    without building the groups.
     """
     considered = (2 * max_order + 1) ** 2
     paths = enumerate_paths(setting, particle, grating, v, max_order=max_order)
-    return considered, len(paths), len(group_paths_by_geometry(paths))
+    groups, ref = 0, 0.0
+    for ratio in sorted([p.geometry_ratio for p in paths]):
+        if not groups or not _same_group(ratio, ref, GROUP_RTOL):
+            groups, ref = groups + 1, ratio
+    return considered, len(paths), groups

@@ -15,6 +15,7 @@ from mwmono import (
     path_census,
     path_transmission,
 )
+from mwmono.geometry import GROUP_RTOL, _same_group
 
 
 def make_path(n1, n2, n3, alpha1=0.3, alpha2=0.4, transmission=1e-4):
@@ -149,6 +150,25 @@ class TestGrouping:
         # Symmetric pairs tie on the ratio; the orders break the tie.
         paths = enumerate_paths(setting, helium, grating, 1000.0)
         assert group_paths_by_geometry(paths[::-1]) == group_paths_by_geometry(paths)
+
+    @pytest.mark.parametrize("ref, at", [
+        # |ref| below 1: the tolerance is GROUP_RTOL itself.
+        (0.0, 1e-9), (1e-9, 2e-9), (-2e-9, -1e-9),
+        # |ref| above 1: the tolerance is GROUP_RTOL * |ref|.
+        (1e9, 1e9 + 1.0), (2.5e9, 2.5e9 + 2.5), (-4e9, -4e9 + 4.0),
+    ])
+    def test_tolerance_boundary(self, ref, at):
+        # The census and the grouping share this rule: a ratio exactly the
+        # tolerance away from the group's first ratio joins it, the next
+        # float beyond starts a new group.
+        assert at - ref == GROUP_RTOL * max(1.0, abs(ref))  # exact, no rounding
+        beyond = math.nextafter(at, math.inf)
+        assert _same_group(at, ref, GROUP_RTOL)
+        assert not _same_group(beyond, ref, GROUP_RTOL)
+        base = make_path(0, 0, 1)
+        for ratio, groups in ((at, 1), (beyond, 2)):
+            paths = [base._replace(geometry_ratio=r) for r in (ratio, ref)]
+            assert len(group_paths_by_geometry(paths)) == groups
 
     def test_groups_are_ordered_and_cover_all_paths(self, setting, helium, grating):
         paths = enumerate_paths(setting, helium, grating, 1000.0)

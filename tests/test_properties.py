@@ -5,11 +5,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mwmono import (
     BeamSpec,
     BelowCutoffError,
+    DiffractionPath,
     EvanescentOrderError,
     GrazingSingularityError,
     Grating,
@@ -20,7 +21,10 @@ from mwmono import (
     RunConfig,
     de_broglie_wavelength,
     diffraction_angle,
+    enumerate_paths,
+    group_paths_by_geometry,
     incidence_for_output,
+    path_census,
     select_path,
     trace_velocity,
     velocity_divergence,
@@ -139,6 +143,44 @@ def test_order_steps_are_monotone_in_sin_space(theta, v):
             sines.append(None)
     present = [s for s in sines if s is not None]
     assert all(a < b for a, b in zip(present, present[1:]))
+
+
+GRAZING_THETA_OUT = math.radians(89.99999999)
+
+
+@settings(max_examples=500, deadline=None)
+@example(theta_out=GRAZING_THETA_OUT, n=-1, max_order=2, v=572.0, separation=1e-3)
+@example(theta_out=GRAZING_THETA_OUT, n=10**9, max_order=3, v=1e30, separation=1e-3)
+@example(theta_out=math.radians(85.0), n=-10**9, max_order=2, v=1e30, separation=0.5)
+@example(theta_out=math.radians(85.0), n=0, max_order=2, v=5e-324, separation=1e-3)
+@example(theta_out=math.radians(1.0), n=-1, max_order=0, v=1e30, separation=1e-6)
+@given(theta_out=st.floats(min_value=math.radians(1.0), max_value=GRAZING_THETA_OUT),
+       n=st.sampled_from([0, 1, -1, -2, 3, -5, 10**9, -10**9]),
+       max_order=st.integers(min_value=0, max_value=3),
+       v=st.floats(min_value=5e-324, max_value=1e30) | velocities,
+       separation=st.floats(min_value=1e-6, max_value=1.0))
+def test_census_counts_the_groups_of_the_enumerated_records(theta_out, n, max_order, v,
+                                                            separation):
+    # The census counts what grouping the enumerated records would give, and
+    # each record behaves as one built from keywords, from near-grazing exit
+    # to orders of 1e9 and subnormal or huge velocities.
+    setting = MonochromatorSetting(theta_out=theta_out, total_order=n)
+    try:
+        paths = enumerate_paths(setting, HELIUM, GRATING, v, max_order=max_order)
+    except MonochromatorError as exc:
+        with pytest.raises(type(exc)):
+            path_census(setting, HELIUM, GRATING, v, max_order=max_order)
+        return
+    assert path_census(setting, HELIUM, GRATING, v, max_order=max_order) == (
+        (2 * max_order + 1) ** 2, len(paths), len(group_paths_by_geometry(paths)))
+    for p in paths:
+        keyword = DiffractionPath(**p._asdict())
+        assert type(p) is DiffractionPath
+        assert p == DiffractionPath(*p) == keyword
+        assert repr(p) == repr(keyword)
+        assert p._asdict() == keyword._asdict()
+        assert p.orders == keyword.orders == (p.n1, p.n2, p.n3)
+        assert p.span(separation) == keyword.span(separation)
 
 
 diameters = st.floats(min_value=-12.0, max_value=3.0).map(lambda e: 10.0 ** e)
