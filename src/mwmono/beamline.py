@@ -192,7 +192,7 @@ def _row_counts(valid, x, lo, hi, gap=None):
 
 def _axes(spec: BeamSpec, beamline: Beamline, velocity_bins: int, offset_samples: int):
     """Velocity bin centres and source offsets of the sampling grid."""
-    vbar, radius = spec.center_velocity, beamline.source_pinhole.diameter / 2
+    vbar, radius = spec.center_velocity, beamline.source_diameter / 2
     velocities = np.linspace(vbar - spec.full_width / 2, vbar + spec.full_width / 2, velocity_bins)
     # Distinct bin centres keep every FWHM positive and so the speed ratio finite.
     if not (velocities[1:] > velocities[:-1]).all():
@@ -225,10 +225,7 @@ def _fwhm(x: np.ndarray, w: np.ndarray) -> float:
 def _reduce(spec, velocities, weights) -> BeamlineResult:
     total = weights.sum()
     if total <= 0.0:
-        raise EmptyTransmissionError(
-            "no ray passed all apertures",
-            configuration={"spec": spec},
-        )
+        raise EmptyTransmissionError("no ray passed all apertures")
     mean = float((weights * velocities).sum() / total)
     # Deviations are scaled by a power of two within a factor 2 of the largest
     # of them, so their squares cannot overflow; the scaling is exact in
@@ -267,10 +264,7 @@ def _beam_counts(spec, beamline, particle, grating, path, velocity_bins, offset_
     length = device.length
     entry_window = min(device.separation * math.tan(theta_inc), length)
     if entry_window <= 0:
-        raise EmptyTransmissionError(
-            "entry window closed at this incidence angle",
-            configuration={"theta_inc": theta_inc},
-        )
+        raise EmptyTransmissionError("entry window closed at this incidence angle")
     velocities, offsets = _axes(spec, beamline, velocity_bins, offset_samples)
 
     # One extra row at the centre velocity holds the reference ray through the axis.
@@ -283,10 +277,7 @@ def _beam_counts(spec, beamline, particle, grating, path, velocity_bins, offset_
     x1 = x1[(x1 >= 0.0) & (x1 <= entry_window)]
 
     if central is None:
-        raise EmptyTransmissionError(
-            "central ray blocked inside the device",
-            configuration={"v": vbar, "path": path.orders},
-        )
+        raise EmptyTransmissionError("central ray blocked inside the device")
 
     # Every cut bounds x1: x2 = x1 + rise1 and x3 = x2 + rise2 lie on the
     # plate, dx = x3 - central.position passes the pinholes, and the exit
@@ -335,10 +326,7 @@ def _baseline_counts(spec, beamline, particle, grating, theta_inc, order,
         theta_inc, (order,), particle, grating, np.append(velocities, vbar)
     )
     if not valid[-1]:
-        raise EmptyTransmissionError(
-            "baseline centre velocity evanescent",
-            configuration={"v": vbar, "order": order},
-        )
+        raise EmptyTransmissionError("baseline centre velocity evanescent")
 
     dx = offsets / math.cos(theta_inc)  # reflection point along the plate
     prob = grating.reflection_probabilities.get(abs(order))
@@ -396,17 +384,22 @@ def scan_speed_ratio(
 
     The incidence angle is re-solved per centre velocity.  Rows where no
     weight is transmitted, the velocity is below cutoff, or the centre is not
-    above half the width or plus half the width overflows, are emitted with a
-    flag instead of being dropped.
+    above half the width, plus half the width overflows or the width cannot
+    be split into distinct bins there, are emitted with a flag instead of
+    being dropped.  A width that no centre can split is a configuration error.
     """
-    rows = []
+    _check_grid(velocity_bins, offset_samples)
+    rows, split_error = [], None
     for vbar in v_centers:
         vbar = float(vbar)
         try:
             spec = BeamSpec(center_velocity=vbar, full_width=full_width)
-        except ValueError:
+            _axes(spec, beamline, velocity_bins, offset_samples)
+        except (ValueError, ConfigurationError) as exc:
             if not full_width > 0:
                 raise
+            if isinstance(exc, ConfigurationError):
+                split_error = exc
             rows.append(ScanRow(vbar, vbar / full_width, None, None, None, "invalid_center"))
             continue
         flag = ""
@@ -441,4 +434,6 @@ def scan_speed_ratio(
                 flag=flag,
             )
         )
+    if split_error is not None and all(row.flag == "invalid_center" for row in rows):
+        raise split_error
     return rows

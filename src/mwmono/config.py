@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .diffraction import Grating, MonochromatorSetting, Particle, _MAX_ORDER
@@ -36,7 +36,7 @@ DEFAULT_CONFIG: dict = {
     "setting": {"theta_out_deg": 85.0, "total_order": -1},
     "device": {"separation_mm": 5.0, "length_mm": 50.0},
     "beamline": {
-        "source_pinhole": {"diameter_mm": 1.0, "distance_mm": 100.0},
+        "source_pinhole": {"diameter_mm": 1.0},
         "exit_pinholes": [
             {"diameter_mm": 10.0, "distance_mm": 500.0},
             {"diameter_mm": 10.0, "distance_mm": 1000.0},
@@ -62,10 +62,10 @@ def _merge(base: dict, override: dict) -> dict:
 
 
 #: Shapes of the mapping forms of ``particle`` and ``material``, whose
-#: defaults are preset names.  A custom particle's ``name`` may be omitted;
-#: the empty probability shape takes order magnitudes written in digits.
+#: defaults are preset names; the empty probability shape takes order
+#: magnitudes written in digits.
 _MAPPING_FORMS = {
-    "particle": {"mass_kg": 1.0, "name": ""},
+    "particle": {"mass_kg": 1.0},
     "material": {"period_angstrom": 1.0, "reflection_probabilities": {}},
 }
 _KINDS = {dict: (dict, "a mapping"), list: (list, "a non-empty list"),
@@ -96,7 +96,7 @@ def _check_shape(value, template, path: str = "") -> None:
     elif isinstance(value, dict):
         template = template or {k: 1.0 for k in value if isinstance(k, str) and k.isdecimal()}
         wrong = [f"unknown key {key!r}" for key in value if key not in template]
-        wrong += [f"missing key {key!r}" for key in template if key not in value and key != "name"]
+        wrong += [f"missing key {key!r}" for key in template if key not in value]
         if wrong:
             raise _invalid(where, wrong[0])
         for key, item in value.items():
@@ -122,7 +122,7 @@ def read_config(path: str | Path) -> dict:
 class RunConfig:
     """Validated configuration with factories for the domain objects."""
 
-    data: dict = field(default_factory=lambda: json.loads(json.dumps(DEFAULT_CONFIG)))
+    data: dict
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
@@ -154,7 +154,7 @@ class RunConfig:
         spec = self.data["particle"]
         if isinstance(spec, str):
             return get_particle(spec)
-        return Particle(mass=spec["mass_kg"], name=spec.get("name", "custom"))
+        return Particle(mass=spec["mass_kg"], name="custom")
 
     def grating(self) -> Grating:
         spec = self.data["material"]
@@ -180,8 +180,11 @@ class RunConfig:
     def beamline(self) -> Beamline:
         spec = self.data["beamline"]
         return Beamline(
-            source_pinhole=_pinhole(spec["source_pinhole"]),
-            exit_pinholes=tuple(_pinhole(p) for p in spec["exit_pinholes"]),
+            source_diameter=spec["source_pinhole"]["diameter_mm"] * 1e-3,
+            exit_pinholes=tuple(
+                Pinhole(diameter=p["diameter_mm"] * 1e-3, distance=p["distance_mm"] * 1e-3)
+                for p in spec["exit_pinholes"]
+            ),
             device=self.device(),
             setting=self.setting(),
         )
@@ -214,10 +217,6 @@ class RunConfig:
         if abs(order) > _MAX_ORDER:
             raise ValueError(f"|order| must be at most {_MAX_ORDER}, got {order}")
         return order
-
-
-def _pinhole(spec: dict) -> Pinhole:
-    return Pinhole(diameter=spec["diameter_mm"] * 1e-3, distance=spec["distance_mm"] * 1e-3)
 
 
 def dump_default_config() -> str:

@@ -47,10 +47,6 @@ class BelowCutoffError(MonochromatorError):
 class EmptyTransmissionError(MonochromatorError):
     """A beamline simulation transmitted zero weight."""
 
-    def __init__(self, message, configuration=None):
-        self.configuration = configuration
-        super().__init__(message)
-
 
 class ConfigurationError(MonochromatorError):
     """Invalid run configuration or missing grating data."""

@@ -102,14 +102,20 @@ class Pinhole:
 
 @dataclass(frozen=True)
 class Beamline:
-    """Source pinhole, device and downstream pinholes."""
+    """Source aperture, device and downstream pinholes.
 
-    source_pinhole: Pinhole
+    The beam is a plane wave: every source offset enters at the same
+    incidence angle, so the source aperture sets only the beam's width.
+    """
+
+    source_diameter: float  # m
     exit_pinholes: tuple[Pinhole, ...]
     device: DeviceGeometry
     setting: MonochromatorSetting
 
     def __post_init__(self):
+        if not self.source_diameter > 0:
+            raise ValueError(f"source diameter must be positive, got {self.source_diameter}")
         distances = [p.distance for p in self.exit_pinholes]
         if distances != sorted(distances):
             raise ValueError("exit pinholes must be ordered by increasing distance")
@@ -192,7 +198,6 @@ def enumerate_paths(
     particle: Particle,
     grating: Grating,
     v: float,
-    theta_inc: float | None = None,
     max_order: int = 2,
 ) -> list[DiffractionPath]:
     """All realizable bounce sequences at velocity v.
@@ -201,8 +206,7 @@ def enumerate_paths(
     conservation.  A combination survives when both internal diffraction
     angles exist (no evanescent order).  An empty list is a valid result.
     """
-    if theta_inc is None:
-        theta_inc = incidence_for_output(setting, particle, grating, v)
+    theta_inc = incidence_for_output(setting, particle, grating, v)
     total = setting.order_magnitude
     step = wavelength_ratio(particle, grating, v)
     sin_inc = math.sin(theta_inc)
@@ -273,16 +277,13 @@ def select_path(
         if p.transmission is not None and p.geometry_ratio < ratio < p.geometry_ratio + width
     ]
     if not feasible:
-        raise EmptyTransmissionError(
-            f"no feasible path at v = {v} m/s for l/s = {ratio:.3g}",
-            configuration={"v": v, "length_ratio": ratio},
-        )
+        raise EmptyTransmissionError(f"no feasible path at v = {v} m/s for l/s = {ratio:.3g}")
     return max(feasible, key=lambda p: (p.transmission, -abs(p.n1), p.orders))
 
 
-def _same_group(ratio: float, ref: float, rtol: float) -> bool:
+def _same_group(ratio: float, ref: float) -> bool:
     """Whether ``ratio`` joins the group whose first (smallest) ratio is ``ref``."""
-    return abs(ratio - ref) <= rtol * max(1.0, abs(ref))
+    return abs(ratio - ref) <= GROUP_RTOL * max(1.0, abs(ref))
 
 
 class PathGroup(NamedTuple):
@@ -292,11 +293,8 @@ class PathGroup(NamedTuple):
     members: tuple[DiffractionPath, ...]
 
 
-def group_paths_by_geometry(
-    paths: list[DiffractionPath],
-    rtol: float = GROUP_RTOL,
-) -> list[PathGroup]:
-    """Cluster paths whose geometry ratios agree within ``rtol`` (relative).
+def group_paths_by_geometry(paths: list[DiffractionPath]) -> list[PathGroup]:
+    """Cluster paths whose geometry ratios agree within ``GROUP_RTOL`` (relative).
 
     Groups are returned ordered by increasing ratio; members keep their
     individual transmission rates.
@@ -305,7 +303,7 @@ def group_paths_by_geometry(
     for path in sorted(paths, key=attrgetter("geometry_ratio", "n1", "n2", "n3")):
         if clusters:
             ref, members = clusters[-1]
-            if _same_group(path.geometry_ratio, ref, rtol):
+            if _same_group(path.geometry_ratio, ref):
                 members.append(path)
                 continue
         clusters.append((path.geometry_ratio, [path]))
@@ -333,6 +331,6 @@ def path_census(
     paths = enumerate_paths(setting, particle, grating, v, max_order=max_order)
     groups, ref = 0, 0.0
     for ratio in sorted([p.geometry_ratio for p in paths]):
-        if not groups or not _same_group(ratio, ref, GROUP_RTOL):
+        if not groups or not _same_group(ratio, ref):
             groups, ref = groups + 1, ratio
     return considered, len(paths), groups

@@ -238,6 +238,18 @@ class TestScan:
         assert rows[0].final_ratio is None
         assert rows[1].flag == ""
 
+    def test_flags_empty_transmission(self, objs):
+        # As in test_empty_transmission_raises: no ray of the even grid passes.
+        helium, grating, beamline = objs
+        tiny = with_exit_pinholes(
+            beamline,
+            [Pinhole(diameter=1e-12, distance=ph.distance) for ph in beamline.exit_pinholes],
+        )
+        (row,) = scan_speed_ratio([1000.0], 500.0, tiny, helium, grating,
+                                  velocity_bins=200, offset_samples=20)
+        assert row.flag == "empty_transmission"
+        assert row.final_ratio is None and row.throughput is None
+
     def test_decreasing_at_high_velocity(self, objs):
         helium, grating, beamline = objs
         rows = scan_speed_ratio([2000.0, 3000.0, 4000.0, 5000.0], 500.0,
@@ -264,7 +276,7 @@ class TestBeamlineValidation:
         bl = default_config.beamline()
         with pytest.raises(ValueError):
             Beamline(
-                source_pinhole=bl.source_pinhole,
+                source_diameter=bl.source_diameter,
                 exit_pinholes=(bl.exit_pinholes[1], bl.exit_pinholes[0]),
                 device=bl.device,
                 setting=bl.setting,

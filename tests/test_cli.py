@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 import os
@@ -17,6 +18,7 @@ from mwmono.beamline import (
     BASELINE_ORDER, BASELINE_THETA_INC, MAX_OFFSET_SAMPLES, MAX_VELOCITY_BINS,
 )
 from mwmono.cli import entrypoint, main
+from mwmono.config import DEFAULT_CONFIG, _merge
 
 
 @pytest.fixture()
@@ -79,12 +81,78 @@ class TestConfig:
         ("beam: {v_center_mps: .inf}", "beam/v_center_mps"),
         ("beamline: {exit_pinholes: [{diameter_mm: 10, distance_mm: 1000},"
          " {diameter_mm: 10, distance_mm: 500}]}", "beamline"),
+        # The source aperture has a width only, and a custom particle a mass only.
+        ("beamline: {source_pinhole: {diameter_mm: 1.0, distance_mm: 100.0}}",
+         "beamline/source_pinhole: unknown key 'distance_mm'"),
+        ("particle: {mass_kg: 6.6e-27, name: x}", "particle: unknown key 'name'"),
+        ("beamline: {source_pinhole: {diameter_mm: 0}}", "beamline"),
     ])
     def test_invalid_config_names_its_path(self, tmp_path, capsys, text, path):
         cfg = tmp_path / "bad.yaml"
         cfg.write_text(text + "\n")
         assert entrypoint(["simulate", "--config", str(cfg)]) == 2
         assert f"invalid config at {path}" in capsys.readouterr().err
+
+
+    def test_every_config_key_changes_the_outcome(self, tmp_path, capsys):
+        # A key that no computation reads is dead config.  Each value is valid
+        # and should move the simulate outcome away from the base's.
+        def leaves(node, path=""):
+            if not isinstance(node, (dict, list)):
+                yield path
+                return
+            for key, item in node.items() if isinstance(node, dict) else enumerate(node):
+                yield from leaves(item, f"{path}/{key}" if path else key)
+
+        def outcome(config):
+            cfg = tmp_path / "run.json"
+            cfg.write_text(json.dumps(config))
+            code = entrypoint(["simulate", "--config", str(cfg), "--format", "json"])
+            return code, capsys.readouterr().out
+
+        assert set(leaves(DEFAULT_CONFIG)) == set(LIVE_VALUES)
+        # The first exit pinhole binds only when it is the tightest, as in
+        # tight_pinhole.yaml; then both pinholes have a value that binds.
+        base = _merge(DEFAULT_CONFIG, {"beamline": {"exit_pinholes": [
+            {"diameter_mm": 2.0, "distance_mm": 300.0},
+            {"diameter_mm": 10.0, "distance_mm": 1000.0}]}})
+        base_outcome = outcome(base)
+        assert base_outcome[0] == 0
+        for path, value in LIVE_VALUES.items():
+            config = copy.deepcopy(base)
+            *parents, last = path.split("/")
+            node = config
+            for key in parents:
+                node = node[int(key) if isinstance(node, list) else key]
+            node[last] = value
+            code, out = outcome(config)
+            assert code != 2, path
+            assert (code, out) != base_outcome, path
+
+
+#: A valid value for every leaf of the default config that should change the
+#: simulate outcome.  Changes of 10 % to the device or to the first exit
+#: pinhole move nothing at 1000 m/s, so these are larger.
+LIVE_VALUES = {
+    "particle": "helium-3",
+    "material": {"period_angstrom": 3.0,
+                 "reflection_probabilities": {"0": 0.06, "1": 0.03, "2": 0.015}},
+    "setting/theta_out_deg": 80.0,
+    "setting/total_order": -2,
+    "device/separation_mm": 2.0,
+    "device/length_mm": 100.0,
+    "beamline/source_pinhole/diameter_mm": 2.0,
+    "beamline/exit_pinholes/0/diameter_mm": 3.0,
+    "beamline/exit_pinholes/0/distance_mm": 500.0,
+    "beamline/exit_pinholes/1/diameter_mm": 1.0,
+    "beamline/exit_pinholes/1/distance_mm": 5000.0,
+    "beam/v_center_mps": 1500.0,
+    "beam/v_width_mps": 300.0,
+    "sampling/velocity_bins": 1001,
+    "sampling/offset_samples": 101,
+    "baseline/theta_inc_deg": 40.0,
+    "baseline/order": -2,
+}
 
 
 class TestIncidenceTable:
@@ -186,6 +254,13 @@ class TestDivergenceTable:
         for (v, n, d, status), (v_neg, n_neg, d_neg, status_neg) in zip(pos_rows, neg_rows):
             assert (v_neg, int(n_neg), d_neg, status_neg) == (v, -int(n), d, status)
         assert any(row[3] == "ok" for row in pos_rows)
+
+
+    def test_grazing_exit_is_flagged(self, capsys):
+        # At a grazing exit the derivative's arcsin argument is too close to 1.
+        assert entrypoint(["divergence-table", "--orders", "1", "--v-min", "1000",
+                           "--v-max", "1000", "--theta-out-deg", "89.9999999"]) == 3
+        assert capsys.readouterr().out.split("\n")[1] == "1000.0,1,,GrazingSingularityError"
 
 
 class TestPaths:
@@ -305,6 +380,32 @@ class TestSimulateAndScan:
         out, err = capsys.readouterr()
         assert out == ""
         assert "config error: beam width 1e-300 m/s cannot be split into 2001" in err
+
+    def test_scan_keeps_rows_beside_unsplittable_centres(self, runner):
+        # At 5e19 and 1e20 m/s the 500 m/s beam rounds onto too few distinct bins.
+        result = invoke(runner, ["scan", "--v-min", "1000", "--v-max", "1e20",
+                                 "--v-step", "5e19", "--theta-out-deg", "75"])
+        assert result.exit_code == 0
+        lines = result.output.strip().split("\n")
+        assert len(lines) == 4
+        assert lines[1].startswith("1000.0,2.0,") and lines[1].endswith(",")
+        assert lines[2:] == ["5e+19,1e+17,,,,invalid_center", "1e+20,2e+17,,,,invalid_center"]
+
+    @pytest.mark.parametrize("command", [["simulate"], ["scan", "--v-min", "1000",
+                                                        "--v-max", "1000"]])
+    def test_baseline_order_without_probability_exits_2(self, tmp_path, capsys, command):
+        cfg = tmp_path / "baseline.yaml"
+        cfg.write_text("baseline: {order: -3}\n")
+        assert entrypoint([*command, "--config", str(cfg)]) == 2
+        assert "no reflection probability for |order| = 3" in capsys.readouterr().err
+
+    def test_custom_particle_matches_its_preset(self, runner, tmp_path):
+        cfg = tmp_path / "particle.yaml"
+        cfg.write_text("particle: {mass_kg: 5.0082343e-27}\n")
+        custom = invoke(runner, ["simulate", "--config", str(cfg), "--format", "json"])
+        preset = invoke(runner, ["simulate", "--particle", "helium-3", "--format", "json"])
+        assert custom.exit_code == preset.exit_code == 0
+        assert custom.stdout_bytes == preset.stdout_bytes
 
     def test_overflowing_scan_centre_is_flagged(self, runner):
         result = invoke(runner, ["scan", "--v-min", "1.5e308", "--v-max", "1.5e308",

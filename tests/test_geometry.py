@@ -163,8 +163,8 @@ class TestGrouping:
         # float beyond starts a new group.
         assert at - ref == GROUP_RTOL * max(1.0, abs(ref))  # exact, no rounding
         beyond = math.nextafter(at, math.inf)
-        assert _same_group(at, ref, GROUP_RTOL)
-        assert not _same_group(beyond, ref, GROUP_RTOL)
+        assert _same_group(at, ref)
+        assert not _same_group(beyond, ref)
         base = make_path(0, 0, 1)
         for ratio, groups in ((at, 1), (beyond, 2)):
             paths = [base._replace(geometry_ratio=r) for r in (ratio, ref)]

@@ -7,7 +7,9 @@ further simulate files (``simulate_300``, ``simulate_5000`` and the
 from their cut intervals; the table, path and default-config files by the
 CLI before its config layer was reduced to one merge and one validation;
 the further path files (JSON prints every float in full) before the path
-records became named tuples.  Regenerate one only for
+records became named tuples.  ``default_config.yaml`` was regenerated once,
+on purpose, when the source pinhole's unused ``distance_mm`` was deleted; it
+lost that one line.  Regenerate one only for
 an intended change of output, e.g.
 ``mwmono scan --v-min 300 --v-max 5000 --v-step 100 > tests/golden/scan.csv``.
 """

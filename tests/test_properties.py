@@ -202,7 +202,7 @@ def _every_cell_counts(spec, bl, p, g, nv, nu, device):
     """Per-row passing offsets with every cut evaluated on every grid cell."""
     vbar = spec.center_velocity
     velocities = np.linspace(vbar - spec.full_width / 2, vbar + spec.full_width / 2, nv)
-    offsets = np.linspace(-bl.source_pinhole.diameter / 2, bl.source_pinhole.diameter / 2, nu)
+    offsets = np.linspace(-bl.source_diameter / 2, bl.source_diameter / 2, nu)
     step = (2.0 * math.pi * HBAR / (p.mass * g.period) / velocities)[:, None]
     if not device:
         theta_inc, order = BASELINE_THETA_INC, BASELINE_ORDER
@@ -250,7 +250,7 @@ def test_row_counts_match_every_cell(v, nv, nu, source, exits, theta_out_deg, le
     bl = cfg.beamline()
     bl = dataclasses.replace(
         bl,
-        source_pinhole=Pinhole(source, bl.source_pinhole.distance),
+        source_diameter=source,
         exit_pinholes=tuple(Pinhole(d, p.distance) for d, p in zip(exits, bl.exit_pinholes)),
     )
     spec = BeamSpec(v)
@@ -281,7 +281,7 @@ def test_row_counts_match_traced_rays(v, nv, nu, source, theta_out_deg, length_m
     bl = cfg.beamline()
     bl = dataclasses.replace(
         bl,
-        source_pinhole=Pinhole(source, bl.source_pinhole.distance),
+        source_diameter=source,
         exit_pinholes=tuple(Pinhole(1e3, p.distance) for p in bl.exit_pinholes),
     )
     p, g = cfg.particle(), cfg.grating()
