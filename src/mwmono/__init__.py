@@ -43,13 +43,10 @@ from .geometry import (
     path_transmission,
     select_path,
 )
-from .presets import MATERIALS, PARTICLES, MaterialPreset, get_material, get_particle
 
 __all__ = [
     "HBAR",
     "HELIUM_4",
-    "MATERIALS",
-    "PARTICLES",
     "BeamSpec",
     "Beamline",
     "BeamlineResult",
@@ -62,7 +59,6 @@ __all__ = [
     "FeasibilityBand",
     "Grating",
     "GrazingSingularityError",
-    "MaterialPreset",
     "MonochromatorError",
     "MonochromatorSetting",
     "Particle",
@@ -76,8 +72,6 @@ __all__ = [
     "dump_default_config",
     "enumerate_paths",
     "feasibility_band",
-    "get_material",
-    "get_particle",
     "group_paths_by_geometry",
     "incidence_for_output",
     "path_census",

@@ -42,25 +42,22 @@ EXIT_INFEASIBLE = 3
 
 
 def common_options(f):
-    """Config file, flag overrides and output options; ``f`` receives the validated config."""
+    """Config file, flag overrides and ``--out``; ``f`` receives the validated config."""
     options = [
         click.option("--config", type=click.Path(exists=True, dir_okay=False), default=None,
                      help="YAML or JSON config file."),
         click.option("--material", default=None, help="Material preset name."),
         click.option("--particle", default=None, help="Particle preset name."),
         click.option("--theta-out-deg", type=float, default=None, help="Fixed exit angle."),
-        click.option("--order", type=click.IntRange(-_MAX_ORDER, _MAX_ORDER), default=None,
-                     help="Total diffraction order (signed; magnitude is used)."),
         click.option("--v-center", type=float, default=None, help="Beam centre velocity [m/s]."),
         click.option("--v-width", type=float, default=None, help="Beam full width [m/s]."),
         click.option("--out", type=click.Path(dir_okay=False, writable=True), default=None,
                      help="Output file (stdout if omitted)."),
-        click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv",
-                     show_default=True, help="Output format."),
     ]
 
     @functools.wraps(f)
-    def command(config, material, particle, theta_out_deg, order, v_center, v_width, **rest):
+    def command(config, material, particle, theta_out_deg, v_center, v_width, order=None,
+                **rest):
         flags = {"material": material, "particle": particle,
                  "setting": {"theta_out_deg": theta_out_deg, "total_order": order},
                  "beam": {"v_center_mps": v_center, "v_width_mps": v_width}}
@@ -73,6 +70,16 @@ def common_options(f):
     for option in reversed(options):
         command = option(command)
     return command
+
+
+#: Not taken by the tables, whose rows take their orders from ``--orders``.
+order_option = click.option("--order", type=click.IntRange(-_MAX_ORDER, _MAX_ORDER),
+                            default=None,
+                            help="Total diffraction order (signed; magnitude is used).")
+
+#: Not taken by ``simulate``, which always prints JSON.
+format_option = click.option("--format", "fmt", type=click.Choice(["csv", "json"]),
+                             default="csv", show_default=True, help="Output format.")
 
 
 def _emit(text: str, out: str | None):
@@ -144,6 +151,7 @@ def _order_table(name, column, value, doc):
     with ``value(theta_inc, |order|, particle, grating, v)``; exit 3 if no row is ok."""
     @main.command(name, help=doc)
     @common_options
+    @format_option
     @click.option("--orders", default="1,2,3", show_default=True, callback=_parse_orders,
                   help="Comma-separated list of total orders.")
     @click.option("--v-min", type=float, default=300.0, show_default=True)
@@ -176,6 +184,8 @@ _order_table("divergence-table", "dtheta_dv_rad_per_mps", velocity_divergence,
 
 @main.command("paths")
 @common_options
+@order_option
+@format_option
 @click.option("--v", "velocity", type=float, required=True, help="Beam velocity [m/s].")
 def paths_cmd(cfg, out, fmt, velocity):
     """Bounce-path table (orders, angles, geometry band, transmission) at one velocity."""
@@ -211,7 +221,8 @@ _PATH_HEADER = [
 
 @main.command("simulate")
 @common_options
-def simulate_cmd(cfg, out, fmt):
+@order_option
+def simulate_cmd(cfg, out):
     """Full beamline simulation at the configured centre velocity (JSON)."""
     # The kernels load numpy, which only simulate and scan need.
     from .beamline import simulate_beam, single_reflection_baseline
@@ -229,6 +240,8 @@ def simulate_cmd(cfg, out, fmt):
 
 @main.command("scan")
 @common_options
+@order_option
+@format_option
 @click.option("--v-min", type=float, default=300.0, show_default=True)
 @click.option("--v-max", type=float, default=5000.0, show_default=True)
 @click.option("--v-step", type=float, default=100.0, show_default=True)

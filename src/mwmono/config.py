@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .diffraction import Grating, MonochromatorSetting, Particle, _MAX_ORDER
+from .diffraction import HELIUM_4, Grating, MonochromatorSetting, Particle, _MAX_ORDER
 from .errors import ConfigurationError
 from .geometry import (
     BASELINE_ORDER,
@@ -27,7 +27,19 @@ from .geometry import (
     Pinhole,
     _check_grid,
 )
-from .presets import get_material, get_particle
+
+#: The mapping each preset name of ``particle`` and ``material`` stands for.
+PRESETS: dict = {
+    "particle": {
+        "helium-4": {"mass_kg": HELIUM_4.mass},
+        "helium-3": {"mass_kg": 5.0082343e-27},
+    },
+    "material": {
+        # Hydrogen-passivated Si(111), helium reflectivity to second order.
+        "si111-h1x1": {"period_angstrom": 3.383,
+                       "reflection_probabilities": {"0": 0.06, "1": 0.03, "2": 0.015}},
+    },
+}
 
 #: Each default also fixes its value's type: a float accepts any number, an int only integers.
 DEFAULT_CONFIG: dict = {
@@ -150,16 +162,23 @@ class RunConfig:
     def to_dict(self) -> dict:
         return json.loads(json.dumps(self.data))
 
+    def _mapping(self, section: str) -> dict:
+        """The mapping form of ``section``, looking a preset name up in ``PRESETS``."""
+        spec = self.data[section]
+        if not isinstance(spec, str):
+            return spec
+        try:
+            return PRESETS[section][spec]
+        except KeyError:
+            raise ConfigurationError(
+                f"unknown {section} preset {spec!r}; known: {sorted(PRESETS[section])}"
+            ) from None
+
     def particle(self) -> Particle:
-        spec = self.data["particle"]
-        if isinstance(spec, str):
-            return get_particle(spec)
-        return Particle(mass=spec["mass_kg"], name="custom")
+        return Particle(mass=self._mapping("particle")["mass_kg"])
 
     def grating(self) -> Grating:
-        spec = self.data["material"]
-        if isinstance(spec, str):
-            return get_material(spec).grating
+        spec = self._mapping("material")
         probs = {int(k): float(v) for k, v in spec["reflection_probabilities"].items()}
         return Grating(period=spec["period_angstrom"] * 1e-10, reflection_probabilities=probs)
 
@@ -216,6 +235,8 @@ class RunConfig:
         order = self.data["baseline"]["order"]
         if abs(order) > _MAX_ORDER:
             raise ValueError(f"|order| must be at most {_MAX_ORDER}, got {order}")
+        if abs(order) not in self.grating().reflection_probabilities:
+            raise ValueError(f"no reflection probability for |order| = {abs(order)}")
         return order
 
 

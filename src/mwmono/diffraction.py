@@ -39,7 +39,6 @@ class Particle:
     """A beam particle, the source of the de Broglie wavelength."""
 
     mass: float  # kg
-    name: str = ""
 
     def __post_init__(self):
         if not self.mass > 0:
@@ -103,8 +102,8 @@ class MonochromatorSetting:
         return abs(self.total_order)
 
 
-#: Helium-4 preset (mass in kg).
-HELIUM_4 = Particle(mass=6.6464731e-27, name="helium-4")
+#: A helium-4 atom (mass in kg), the default particle.
+HELIUM_4 = Particle(mass=6.6464731e-27)
 
 
 def de_broglie_wavelength(particle: Particle, v: float) -> float:

@@ -147,7 +147,6 @@ class DiffractionPath(NamedTuple):
     n3: int
     alpha1: float  # rad
     alpha2: float  # rad
-    total_order: int
     geometry_ratio: float  # d/s = tan(alpha1) + tan(alpha2)
     transmission: float | None
 
@@ -241,7 +240,7 @@ def enumerate_paths(
                 continue
             alpha2 = math.asin(s2)
             paths.append(tuple.__new__(DiffractionPath, (
-                n1, n2, n3, alpha1, alpha2, total, tan1 + math.tan(alpha2),
+                n1, n2, n3, alpha1, alpha2, tan1 + math.tan(alpha2),
                 None if p1 is None or p2 is None or p3 is None else p1 * p2 * p3,
             )))
     return paths

@@ -1,6 +1,6 @@
 import pytest
 
-from mwmono import HELIUM_4, MonochromatorSetting, RunConfig, get_material
+from mwmono import HELIUM_4, MonochromatorSetting, RunConfig
 
 
 @pytest.fixture(scope="session")
@@ -10,7 +10,7 @@ def helium():
 
 @pytest.fixture(scope="session")
 def grating():
-    return get_material("si111-h1x1").grating
+    return RunConfig.from_dict({"material": "si111-h1x1"}).grating()
 
 
 @pytest.fixture(scope="session")

@@ -55,8 +55,12 @@ class TestConfig:
         code = entrypoint(["simulate", "--config", str(cfg)])
         assert code == 2
 
-    def test_unknown_preset_exits_2(self):
-        assert entrypoint(["paths", "--v", "1000", "--material", "nope"]) == 2
+    def test_unknown_preset_exits_2(self, capsys):
+        for section, known in [("particle", "['helium-3', 'helium-4']"),
+                               ("material", "['si111-h1x1']")]:
+            assert entrypoint(["paths", "--v", "1000", f"--{section}", "nope"]) == 2
+            assert capsys.readouterr().err == (f"config error: invalid config at {section}: "
+                                               f"unknown {section} preset 'nope'; known: {known}\n")
 
     @pytest.mark.parametrize("text, path", [
         ("bogus: 1", "<root>"),
@@ -107,7 +111,7 @@ class TestConfig:
         def outcome(config):
             cfg = tmp_path / "run.json"
             cfg.write_text(json.dumps(config))
-            code = entrypoint(["simulate", "--config", str(cfg), "--format", "json"])
+            code = entrypoint(["simulate", "--config", str(cfg)])
             return code, capsys.readouterr().out
 
         assert set(leaves(DEFAULT_CONFIG)) == set(LIVE_VALUES)
@@ -354,7 +358,7 @@ class TestSimulateAndScan:
     def test_huge_velocities_give_valid_json(self, runner):
         # Squared deviations of about 1e159 m/s once overflowed to Infinity.
         result = invoke(runner, ["simulate", "--v-center", "1e160", "--v-width", "1e159",
-                                 "--theta-out-deg", "75", "--format", "json"])
+                                 "--theta-out-deg", "75"])
         assert result.exit_code == 0
 
         def reject(constant):
@@ -366,11 +370,11 @@ class TestSimulateAndScan:
     def test_overflowing_beam_exits_2(self, capsys):
         # The top of the velocity axis, 1e308 + 8e307, overflows to Infinity.
         assert entrypoint(["simulate", "--v-center", "1e308", "--v-width", "1.6e308",
-                           "--theta-out-deg", "75", "--format", "json"]) == 2
+                           "--theta-out-deg", "75"]) == 2
         assert "invalid config at beam: " in capsys.readouterr().err
 
     @pytest.mark.parametrize("args", [
-        ["simulate", "--v-center", "1000", "--format", "json"],
+        ["simulate", "--v-center", "1000"],
         ["scan", "--v-min", "1000", "--v-max", "1000"],
     ])
     def test_width_below_bin_spacing_exits_2(self, capsys, args):
@@ -391,21 +395,45 @@ class TestSimulateAndScan:
         assert lines[1].startswith("1000.0,2.0,") and lines[1].endswith(",")
         assert lines[2:] == ["5e+19,1e+17,,,,invalid_center", "1e+20,2e+17,,,,invalid_center"]
 
-    @pytest.mark.parametrize("command", [["simulate"], ["scan", "--v-min", "1000",
-                                                        "--v-max", "1000"]])
+    @pytest.mark.parametrize("command", [
+        ["simulate"],
+        ["scan", "--v-min", "1000", "--v-max", "1000"],
+        # Every centre is at most half the width, so no row reaches the baseline.
+        ["scan", "--v-min", "100", "--v-max", "200", "--v-step", "100"],
+    ])
     def test_baseline_order_without_probability_exits_2(self, tmp_path, capsys, command):
         cfg = tmp_path / "baseline.yaml"
         cfg.write_text("baseline: {order: -3}\n")
         assert entrypoint([*command, "--config", str(cfg)]) == 2
-        assert "no reflection probability for |order| = 3" in capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert ("invalid config at baseline/order: no reflection probability for |order| = 3"
+                in err)
 
-    def test_custom_particle_matches_its_preset(self, runner, tmp_path):
-        cfg = tmp_path / "particle.yaml"
-        cfg.write_text("particle: {mass_kg: 5.0082343e-27}\n")
-        custom = invoke(runner, ["simulate", "--config", str(cfg), "--format", "json"])
-        preset = invoke(runner, ["simulate", "--particle", "helium-3", "--format", "json"])
+    @pytest.mark.parametrize("text, flag", [
+        ("particle: {mass_kg: 5.0082343e-27}", ["--particle", "helium-3"]),
+        ("material: {period_angstrom: 3.383,"
+         " reflection_probabilities: {'0': 0.06, '1': 0.03, '2': 0.015}}",
+         ["--material", "si111-h1x1"]),
+    ], ids=["particle", "material"])
+    def test_mapping_matches_its_preset(self, runner, tmp_path, text, flag):
+        cfg = tmp_path / "mapping.yaml"
+        cfg.write_text(text + "\n")
+        custom = invoke(runner, ["simulate", "--config", str(cfg)])
+        preset = invoke(runner, ["simulate", *flag])
         assert custom.exit_code == preset.exit_code == 0
         assert custom.stdout_bytes == preset.stdout_bytes
+
+    @pytest.mark.parametrize("args", [
+        ["simulate", "--format", "csv"],
+        ["incidence-table", "--order", "2"],
+        ["divergence-table", "--order", "2"],
+    ])
+    def test_flags_a_command_does_not_read_exit_2(self, capsys, args):
+        assert entrypoint(args) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: No such option") and args[1] in err
 
     def test_overflowing_scan_centre_is_flagged(self, runner):
         result = invoke(runner, ["scan", "--v-min", "1.5e308", "--v-max", "1.5e308",

@@ -22,7 +22,6 @@ def make_path(n1, n2, n3, alpha1=0.3, alpha2=0.4, transmission=1e-4):
     return DiffractionPath(
         n1=n1, n2=n2, n3=n3,
         alpha1=alpha1, alpha2=alpha2,
-        total_order=n1 + n2 + n3,
         geometry_ratio=math.tan(alpha1) + math.tan(alpha2),
         transmission=transmission,
     )
@@ -204,7 +203,7 @@ class TestPathRecords:
     def test_keyword_construction(self):
         path = make_path(0, -1, 2, alpha1=0.25, alpha2=0.5, transmission=None)
         assert path.orders == (0, -1, 2)
-        assert (path.alpha1, path.alpha2, path.total_order) == (0.25, 0.5, 1)
+        assert (path.alpha1, path.alpha2, sum(path.orders)) == (0.25, 0.5, 1)
         assert path.geometry_ratio == math.tan(0.25) + math.tan(0.5)
         assert path.transmission is None
         assert PathGroup(geometry_ratio=1.5, members=(path,)).members == (path,)

@@ -28,7 +28,7 @@ README_SCAN = ["scan", "--v-min", "300", "--v-max", "5000", "--v-step", "100"]
 @pytest.mark.parametrize("args, name", [
     (README_SCAN, "scan.csv"),
     (README_SCAN + ["--format", "json"], "scan.json"),
-    (["simulate", "--v-center", "1000", "--format", "json"], "simulate_1000.json"),
+    (["simulate", "--v-center", "1000"], "simulate_1000.json"),
     (["incidence-table", "--orders", "1,2,3", "--v-min", "300", "--v-max", "5000",
       "--v-step", "100"], "incidence_table.csv"),
     (["divergence-table", "--orders", "1,2,3"], "divergence_table.csv"),
@@ -40,10 +40,10 @@ README_SCAN = ["scan", "--v-min", "300", "--v-max", "5000", "--v-step", "100"]
      "paths_572_grazing.json"),
     (["--dump-default-config"], "default_config.yaml"),
     # One populated bin, and a wide baseline passband.
-    (["simulate", "--v-center", "300", "--format", "json"], "simulate_300.json"),
-    (["simulate", "--v-center", "5000", "--format", "json"], "simulate_5000.json"),
+    (["simulate", "--v-center", "300"], "simulate_300.json"),
+    (["simulate", "--v-center", "5000"], "simulate_5000.json"),
     # 4001 x 401 grid where the 2 mm exit pinhole at 300 mm is the tightest.
-    (["simulate", "--config", str(GOLDEN / "tight_pinhole.yaml"), "--format", "json"],
+    (["simulate", "--config", str(GOLDEN / "tight_pinhole.yaml")],
      "simulate_tight_pinhole.json"),
 ])
 def test_cli_output_matches_golden(args, name):

@@ -39,7 +39,7 @@ from mwmono.beamline import (
 )
 from mwmono.diffraction import HBAR
 
-HELIUM = Particle(mass=6.6464731e-27, name="helium-4")
+HELIUM = Particle(mass=6.6464731e-27)
 GRATING = Grating(period=3.383e-10, reflection_probabilities={0: 0.06, 1: 0.03, 2: 0.015})
 
 velocities = st.floats(min_value=250.0, max_value=20000.0,
