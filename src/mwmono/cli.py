@@ -41,51 +41,13 @@ EXIT_CONFIG_ERROR = 2
 EXIT_INFEASIBLE = 3
 
 
-def common_options(f):
-    """Config file, flag overrides and ``--out``; ``f`` receives the validated config."""
-    options = [
-        click.option("--config", type=click.Path(exists=True, dir_okay=False), default=None,
-                     help="YAML or JSON config file."),
-        click.option("--material", default=None, help="Material preset name."),
-        click.option("--particle", default=None, help="Particle preset name."),
-        click.option("--theta-out-deg", type=float, default=None, help="Fixed exit angle."),
-        click.option("--v-center", type=float, default=None, help="Beam centre velocity [m/s]."),
-        click.option("--v-width", type=float, default=None, help="Beam full width [m/s]."),
-        click.option("--out", type=click.Path(dir_okay=False, writable=True), default=None,
-                     help="Output file (stdout if omitted)."),
-    ]
-
-    @functools.wraps(f)
-    def command(config, material, particle, theta_out_deg, v_center, v_width, order=None,
-                **rest):
-        flags = {"material": material, "particle": particle,
-                 "setting": {"theta_out_deg": theta_out_deg, "total_order": order},
-                 "beam": {"v_center_mps": v_center, "v_width_mps": v_width}}
-        override = {key: {k: v for k, v in value.items() if v is not None}
-                    if isinstance(value, dict) else value
-                    for key, value in flags.items() if value is not None}
-        raw = read_config(config) if config else {}
-        return f(RunConfig.from_dict(_merge(raw, override)), **rest)
-
-    for option in reversed(options):
-        command = option(command)
-    return command
-
-
-#: Not taken by the tables, whose rows take their orders from ``--orders``.
-order_option = click.option("--order", type=click.IntRange(-_MAX_ORDER, _MAX_ORDER),
-                            default=None,
-                            help="Total diffraction order (signed; magnitude is used).")
-
-#: Not taken by ``simulate``, which always prints JSON.
-format_option = click.option("--format", "fmt", type=click.Choice(["csv", "json"]),
-                             default="csv", show_default=True, help="Output format.")
-
-
 def _emit(text: str, out: str | None):
     if out:
-        with open(out, "w", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigurationError(f"cannot write {out}: {exc.strerror or exc}") from None
     else:
         click.echo(text, nl=False)
 
@@ -146,20 +108,67 @@ def _parse_orders(ctx, param, value):
     return orders
 
 
+def _override(flag, key, **attrs):
+    """An option that, when given, writes its value at config ``key`` ("section/name")."""
+    def write(ctx, param, value):
+        if value is not None:
+            *sections, last = key.split("/")
+            node = ctx.ensure_object(dict)
+            for section in sections:
+                node = node.setdefault(section, {})
+            node[last] = value
+    return click.Option([flag], expose_value=False, callback=write, **attrs)
+
+
+#: Every option, declared once and keyed by its flag; each command names the ones it takes.
+_OPTIONS = {option.opts[0]: option for option in [
+    click.Option(["--config"], type=click.Path(exists=True, dir_okay=False),
+                 help="YAML or JSON config file."),
+    _override("--particle", "particle", help="Particle preset name."),
+    _override("--theta-out-deg", "setting/theta_out_deg", type=float,
+              help="Fixed exit angle [deg]."),
+    _override("--v-center", "beam/v_center_mps", type=float, help="Beam centre velocity [m/s]."),
+    _override("--v-width", "beam/v_width_mps", type=float, help="Beam full width [m/s]."),
+    _override("--order", "setting/total_order", type=click.IntRange(-_MAX_ORDER, _MAX_ORDER),
+              help="Total diffraction order (signed; magnitude is used)."),
+    click.Option(["--format", "fmt"], type=click.Choice(["csv", "json"]), default="csv",
+                 show_default=True, help="Output format."),
+    click.Option(["--orders"], default="1,2,3", show_default=True, callback=_parse_orders,
+                 help="Comma-separated list of total orders."),
+    click.Option(["--v", "velocity"], type=float, required=True, help="Beam velocity [m/s]."),
+    click.Option(["--v-min"], type=float, default=300.0, show_default=True),
+    click.Option(["--v-max"], type=float, default=5000.0, show_default=True),
+    click.Option(["--v-step"], type=float, default=100.0, show_default=True),
+    click.Option(["--out"], type=click.Path(dir_okay=False, writable=True),
+                 help="Output file (stdout if omitted)."),
+]}
+
+
+def _command(name, *flags, help=None):
+    """Register command ``name`` taking the shared options and ``flags``; the function gets
+    the validated config and ``velocities`` in place of ``--v-min/--v-max/--v-step``."""
+    def register(f):
+        @functools.wraps(f)
+        def command(config, **kwargs):
+            raw = read_config(config) if config else {}
+            cfg = RunConfig.from_dict(_merge(raw, click.get_current_context().ensure_object(dict)))
+            if "v_step" in kwargs:
+                kwargs["velocities"] = _velocity_grid(
+                    kwargs.pop("v_min"), kwargs.pop("v_max"), kwargs.pop("v_step"))
+            return f(cfg, **kwargs)
+
+        shared = ("--config", "--particle", "--theta-out-deg", "--out")
+        params = [_OPTIONS[flag] for flag in shared + flags]
+        return main.command(name, help=help, params=params)(command)
+    return register
+
+
 def _order_table(name, column, value, doc):
     """Register a table command filling ``column`` of each (order, velocity) row
     with ``value(theta_inc, |order|, particle, grating, v)``; exit 3 if no row is ok."""
-    @main.command(name, help=doc)
-    @common_options
-    @format_option
-    @click.option("--orders", default="1,2,3", show_default=True, callback=_parse_orders,
-                  help="Comma-separated list of total orders.")
-    @click.option("--v-min", type=float, default=300.0, show_default=True)
-    @click.option("--v-max", type=float, default=5000.0, show_default=True)
-    @click.option("--v-step", type=float, default=100.0, show_default=True)
-    def table(cfg, out, fmt, orders, v_min, v_max, v_step):
+    @_command(name, "--format", "--orders", "--v-min", "--v-max", "--v-step", help=doc)
+    def table(cfg, out, fmt, orders, velocities):
         p, g, base = cfg.particle(), cfg.grating(), cfg.setting()
-        velocities = _velocity_grid(v_min, v_max, v_step)
         rows = []
         for n in orders:
             setting = MonochromatorSetting(theta_out=base.theta_out, total_order=n)
@@ -182,11 +191,7 @@ _order_table("divergence-table", "dtheta_dv_rad_per_mps", velocity_divergence,
              "Velocity divergence of the exit angle at the matched incidence angle.")
 
 
-@main.command("paths")
-@common_options
-@order_option
-@format_option
-@click.option("--v", "velocity", type=float, required=True, help="Beam velocity [m/s].")
+@_command("paths", "--order", "--format", "--v")
 def paths_cmd(cfg, out, fmt, velocity):
     """Bounce-path table (orders, angles, geometry band, transmission) at one velocity."""
     if not 0 < velocity < math.inf:
@@ -219,9 +224,7 @@ _PATH_HEADER = [
 ]
 
 
-@main.command("simulate")
-@common_options
-@order_option
+@_command("simulate", "--v-center", "--v-width", "--order")
 def simulate_cmd(cfg, out):
     """Full beamline simulation at the configured centre velocity (JSON)."""
     # The kernels load numpy, which only simulate and scan need.
@@ -238,19 +241,14 @@ def simulate_cmd(cfg, out):
     _emit(_json_text(payload), out)
 
 
-@main.command("scan")
-@common_options
-@order_option
-@format_option
-@click.option("--v-min", type=float, default=300.0, show_default=True)
-@click.option("--v-max", type=float, default=5000.0, show_default=True)
-@click.option("--v-step", type=float, default=100.0, show_default=True)
-def scan_cmd(cfg, out, fmt, v_min, v_max, v_step):
-    """Speed-ratio scan over centre velocities (CSV)."""
+@_command("scan", "--v-center", "--v-width", "--order", "--format", "--v-min", "--v-max",
+          "--v-step")
+def scan_cmd(cfg, out, fmt, velocities):
+    """Speed-ratio scan over centre velocities (CSV or JSON)."""
     from .beamline import scan_speed_ratio
 
     rows_out = scan_speed_ratio(
-        _velocity_grid(v_min, v_max, v_step),
+        velocities,
         cfg.beam().full_width,
         cfg.beamline(), cfg.particle(), cfg.grating(),
         velocity_bins=cfg.velocity_bins, offset_samples=cfg.offset_samples,

@@ -55,10 +55,14 @@ class TestConfig:
         code = entrypoint(["simulate", "--config", str(cfg)])
         assert code == 2
 
-    def test_unknown_preset_exits_2(self, capsys):
-        for section, known in [("particle", "['helium-3', 'helium-4']"),
-                               ("material", "['si111-h1x1']")]:
-            assert entrypoint(["paths", "--v", "1000", f"--{section}", "nope"]) == 2
+    def test_unknown_preset_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "preset.yaml"
+        cfg.write_text("material: nope\n")
+        for section, known, args in [
+            ("particle", "['helium-3', 'helium-4']", ["--particle", "nope"]),
+            ("material", "['si111-h1x1']", ["--config", str(cfg)]),
+        ]:
+            assert entrypoint(["paths", "--v", "1000", *args]) == 2
             assert capsys.readouterr().err == (f"config error: invalid config at {section}: "
                                                f"unknown {section} preset 'nope'; known: {known}\n")
 
@@ -414,11 +418,15 @@ class TestSimulateAndScan:
         ("particle: {mass_kg: 5.0082343e-27}", ["--particle", "helium-3"]),
         ("material: {period_angstrom: 3.383,"
          " reflection_probabilities: {'0': 0.06, '1': 0.03, '2': 0.015}}",
-         ["--material", "si111-h1x1"]),
+         ["--config", "material: si111-h1x1"]),
     ], ids=["particle", "material"])
     def test_mapping_matches_its_preset(self, runner, tmp_path, text, flag):
         cfg = tmp_path / "mapping.yaml"
         cfg.write_text(text + "\n")
+        if flag[0] == "--config":
+            named = tmp_path / "preset.yaml"
+            named.write_text(flag[1] + "\n")
+            flag = ["--config", str(named)]
         custom = invoke(runner, ["simulate", "--config", str(cfg)])
         preset = invoke(runner, ["simulate", *flag])
         assert custom.exit_code == preset.exit_code == 0
@@ -428,12 +436,47 @@ class TestSimulateAndScan:
         ["simulate", "--format", "csv"],
         ["incidence-table", "--order", "2"],
         ["divergence-table", "--order", "2"],
+        ["paths", "--v-center", "2000", "--v", "1000"],
+        ["incidence-table", "--v-width", "100"],
+        ["divergence-table", "--v-center", "2000"],
+        ["simulate", "--material", "si111-h1x1"],
     ])
     def test_flags_a_command_does_not_read_exit_2(self, capsys, args):
         assert entrypoint(args) == 2
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error: No such option") and args[1] in err
+
+    def test_every_flag_changes_the_outcome(self, capsys):
+        # A flag that cannot change a command's output is a dead flag.  A flag
+        # added to a command fails here until it is given a value below.
+        def outcome(name, args):
+            code = entrypoint([name, *(token for item in args.items() for token in item)])
+            return code, capsys.readouterr().out
+
+        for name, (base, values) in FLAG_VALUES.items():
+            flags = {param.opts[0] for param in main.commands[name].params}
+            assert flags - {"--config", "--out"} == set(values), name
+            base_code, base_out = outcome(name, base)
+            assert base_code == 0, name
+            for flag, value in values.items():
+                code, out = outcome(name, {**base, flag: value})
+                assert code == 0, (name, flag)
+                if (name, flag) == ("scan", "--v-center"):
+                    # Validation reads it, but every row takes its centre from the grid.
+                    assert out == base_out
+                else:
+                    assert out != base_out, (name, flag)
+
+    @pytest.mark.parametrize("args", [
+        ["paths", "--v", "1000"],
+        ["scan", "--v-min", "1000", "--v-max", "1000", "--format", "json"],
+    ])
+    def test_out_under_missing_directory_exits_2(self, tmp_path, capsys, args):
+        out = tmp_path / "missing" / "out.txt"
+        assert entrypoint([*args, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (f"config error: cannot write {out}: "
+                                           "No such file or directory\n")
 
     def test_overflowing_scan_centre_is_flagged(self, runner):
         result = invoke(runner, ["scan", "--v-min", "1.5e308", "--v-max", "1.5e308",
@@ -454,6 +497,27 @@ class TestSimulateAndScan:
         assert result.output == ("v_center_mps,speed_ratio_in,speed_ratio_out,"
                                  "speed_ratio_baseline,throughput,flag\n"
                                  "1e-307,1.0,,,,below_cutoff\n")
+
+
+#: Per command, its base arguments and, for each of its flags, a valid value
+#: that should change the base run's stdout.
+TABLE_FLAG_VALUES = (
+    {"--orders": "1,2", "--v-min": "1000", "--v-max": "1200", "--v-step": "100"},
+    {"--particle": "helium-3", "--theta-out-deg": "80", "--format": "json", "--orders": "3",
+     "--v-min": "1100", "--v-max": "1100", "--v-step": "200"},
+)
+FLAG_VALUES = {
+    "incidence-table": TABLE_FLAG_VALUES,
+    "divergence-table": TABLE_FLAG_VALUES,
+    "paths": ({"--v": "1000"}, {"--particle": "helium-3", "--theta-out-deg": "80",
+                                "--order": "-2", "--format": "json", "--v": "2000"}),
+    "simulate": ({}, {"--particle": "helium-3", "--theta-out-deg": "80", "--v-center": "1500",
+                      "--v-width": "300", "--order": "-2"}),
+    "scan": ({"--v-min": "1000", "--v-max": "1200", "--v-step": "100"},
+             {"--particle": "helium-3", "--theta-out-deg": "80", "--v-center": "1500",
+              "--v-width": "300", "--order": "-2", "--format": "json", "--v-min": "1100",
+              "--v-max": "1100", "--v-step": "200"}),
+}
 
 
 class TestGridBounds:
