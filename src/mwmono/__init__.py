@@ -40,7 +40,6 @@ from .geometry import (
     feasibility_band,
     group_paths_by_geometry,
     path_census,
-    path_transmission,
     select_path,
 )
 
@@ -75,7 +74,6 @@ __all__ = [
     "group_paths_by_geometry",
     "incidence_for_output",
     "path_census",
-    "path_transmission",
     "scan_speed_ratio",
     "select_path",
     "simulate_beam",

@@ -49,11 +49,10 @@ import numpy as np
 from .diffraction import HBAR, Grating, Particle, incidence_for_output
 from .errors import BelowCutoffError, ConfigurationError, EmptyTransmissionError
 # The domain objects, grid bounds, baseline defaults and path selection live in
-# geometry, which loads no numpy; they stay importable from here too.
+# geometry, which loads no numpy.
 from .geometry import (
     BASELINE_ORDER, BASELINE_THETA_INC, DEFAULT_OFFSET_SAMPLES, DEFAULT_VELOCITY_BINS,
-    MAX_OFFSET_SAMPLES, MAX_VELOCITY_BINS, Beamline, BeamSpec, DiffractionPath, Pinhole,
-    _check_grid, select_path,
+    Beamline, BeamSpec, DiffractionPath, _check_grid, select_path,
 )
 
 
@@ -78,9 +77,6 @@ class BeamlineResult:
     input_speed_ratio: float
     throughput: float
 
-    def histogram(self) -> list[tuple[float, float]]:
-        return list(zip(self.velocities.tolist(), self.weights.tolist()))
-
     def to_dict(self) -> dict:
         return {
             "mean_velocity_mps": self.mean_velocity,
@@ -89,7 +85,7 @@ class BeamlineResult:
             "speed_ratio": self.speed_ratio,
             "input_speed_ratio": self.input_speed_ratio,
             "throughput": self.throughput,
-            "histogram": [[v, w] for v, w in self.histogram()],
+            "histogram": [[v, w] for v, w in zip(self.velocities.tolist(), self.weights.tolist())],
         }
 
 

@@ -94,7 +94,7 @@ def _velocity_grid(v_min, v_max, v_step):
             f"velocity grid {v_min}:{v_max}:{v_step} needs finite 0 < v_min <= v_max, "
             f"v_step > 0 and at most {MAX_GRID_POINTS} points"
         )
-    n = int(round(steps))
+    n = math.floor(steps + 1e-9)  # the tolerance keeps a v_max that division leaves just short
     return [v_min + i * v_step for i in range(n + 1)]
 
 

@@ -9,7 +9,6 @@ domain objects.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -158,9 +157,6 @@ class RunConfig:
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":
         return cls.from_dict(read_config(path))
-
-    def to_dict(self) -> dict:
-        return json.loads(json.dumps(self.data))
 
     def _mapping(self, section: str) -> dict:
         """The mapping form of ``section``, looking a preset name up in ``PRESETS``."""

@@ -65,13 +65,6 @@ class Grating:
             if not 0 < p <= 1:
                 raise ValueError(f"reflection probability for order {order} not in (0, 1]: {p}")
 
-    @property
-    def max_order(self) -> int:
-        """Largest |order| with a known reflection probability."""
-        if not self.reflection_probabilities:
-            return 0
-        return max(self.reflection_probabilities)
-
 
 @dataclass(frozen=True)
 class MonochromatorSetting:
@@ -182,12 +175,9 @@ def incidence_for_output(
     n = setting.order_magnitude
     shift = n * wavelength_ratio(particle, grating, v) if n else 0.0  # 0 * inf is nan
     arg = math.cos(setting.epsilon) - shift
-    if arg < -1.0:
+    if arg < 0.0:
         raise BelowCutoffError(v, setting.total_order, cutoff_velocity(setting, particle, grating))
-    theta_inc = math.asin(arg)
-    if theta_inc < 0.0:
-        raise BelowCutoffError(v, setting.total_order, cutoff_velocity(setting, particle, grating))
-    return theta_inc
+    return math.asin(arg)
 
 
 def cutoff_velocity(

@@ -12,20 +12,17 @@ class EvanescentOrderError(MonochromatorError):
     paths should discard the path, not abort.
     """
 
-    def __init__(self, argument, order=None):
-        self.argument = argument
-        self.order = order
-        msg = f"evanescent diffraction order: arcsin argument {argument!r} outside [-1, 1]"
-        if order is not None:
-            msg += f" (order {order})"
-        super().__init__(msg)
+    def __init__(self, argument, order):
+        super().__init__(
+            f"evanescent diffraction order: arcsin argument {argument!r} outside [-1, 1] "
+            f"(order {order})"
+        )
 
 
 class GrazingSingularityError(MonochromatorError):
     """The angular derivative diverges at the arcsin branch point."""
 
     def __init__(self, argument):
-        self.argument = argument
         super().__init__(
             f"velocity divergence singular: |arcsin argument| = {abs(argument)!r} too close to 1"
         )
@@ -34,14 +31,11 @@ class GrazingSingularityError(MonochromatorError):
 class BelowCutoffError(MonochromatorError):
     """The requested velocity cannot reach the fixed exit angle at this order."""
 
-    def __init__(self, velocity, order, cutoff=None):
-        self.velocity = velocity
-        self.order = order
-        self.cutoff = cutoff
-        msg = f"velocity {velocity} m/s below cutoff for |order| = {abs(order)}"
-        if cutoff is not None:
-            msg += f" (cutoff {cutoff:.1f} m/s)"
-        super().__init__(msg)
+    def __init__(self, velocity, order, cutoff):
+        super().__init__(
+            f"velocity {velocity} m/s below cutoff for |order| = {abs(order)} "
+            f"(cutoff {cutoff:.1f} m/s)"
+        )
 
 
 class EmptyTransmissionError(MonochromatorError):

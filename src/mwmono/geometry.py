@@ -154,10 +154,6 @@ class DiffractionPath(NamedTuple):
     def orders(self) -> tuple[int, int, int]:
         return (self.n1, self.n2, self.n3)
 
-    def span(self, separation: float) -> float:
-        """First-to-third reflection distance d for a given plate separation."""
-        return self.geometry_ratio * separation
-
 
 @dataclass(frozen=True)
 class FeasibilityBand:
@@ -171,25 +167,8 @@ class FeasibilityBand:
     lower: float
     upper: float
 
-    @property
-    def width(self) -> float:
-        return self.upper - self.lower
-
     def contains(self, ratio: float) -> bool:
         return self.lower < ratio < self.upper
-
-
-def path_transmission(path: DiffractionPath, grating: Grating) -> float:
-    """Product of the per-bounce diffraction populations along the path."""
-    probs = grating.reflection_probabilities
-    try:
-        p1, p2, p3 = (probs[abs(n)] for n in path.orders)
-    except KeyError:
-        raise ConfigurationError(
-            f"no reflection probability for an order of {path.orders} "
-            f"(grating defines orders up to {grating.max_order})"
-        ) from None
-    return p1 * p2 * p3
 
 
 def enumerate_paths(

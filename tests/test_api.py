@@ -27,8 +27,8 @@ def test_kernel_name_is_cached_kernel_object(monkeypatch, name):
 
 
 @pytest.mark.parametrize("name", [
-    "BeamSpec", "Pinhole", "Beamline", "DEFAULT_VELOCITY_BINS", "DEFAULT_OFFSET_SAMPLES",
-    "MAX_VELOCITY_BINS", "MAX_OFFSET_SAMPLES", "_check_grid", "select_path",
+    "BeamSpec", "Beamline", "DEFAULT_VELOCITY_BINS", "DEFAULT_OFFSET_SAMPLES", "_check_grid",
+    "select_path",
 ])
 def test_kernel_module_keeps_domain_names(name):
     assert getattr(mwmono.beamline, name) is getattr(mwmono.geometry, name)

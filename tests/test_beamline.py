@@ -19,7 +19,7 @@ from mwmono import (
     trace_velocity,
     velocity_divergence,
 )
-from mwmono.beamline import MAX_OFFSET_SAMPLES, MAX_VELOCITY_BINS
+from mwmono.geometry import MAX_OFFSET_SAMPLES, MAX_VELOCITY_BINS
 
 
 @pytest.fixture()

@@ -14,11 +14,11 @@ from hypothesis import example, given, settings, strategies as st
 
 import mwmono
 from mwmono import RunConfig, velocity_divergence, incidence_for_output
-from mwmono.beamline import (
+from mwmono.cli import _velocity_grid, entrypoint, main
+from mwmono.config import DEFAULT_CONFIG, _merge
+from mwmono.geometry import (
     BASELINE_ORDER, BASELINE_THETA_INC, MAX_OFFSET_SAMPLES, MAX_VELOCITY_BINS,
 )
-from mwmono.cli import entrypoint, main
-from mwmono.config import DEFAULT_CONFIG, _merge
 
 
 @pytest.fixture()
@@ -36,7 +36,7 @@ class TestConfig:
         result = invoke(runner, ["--dump-default-config"])
         assert result.exit_code == 0
         reloaded = RunConfig.from_dict(yaml.safe_load(result.output))
-        assert reloaded.to_dict() == RunConfig.from_dict({}).to_dict()
+        assert reloaded.data == RunConfig.from_dict({}).data
 
     def test_default_baseline_is_the_kernel_default(self):
         cfg = RunConfig.from_dict({})
@@ -359,6 +359,12 @@ class TestSimulateAndScan:
     def test_infeasible_simulate_exits_3(self):
         assert entrypoint(["simulate", "--v-center", "290", "--v-width", "20"]) == 3
 
+    def test_below_cutoff_message(self, capsys):
+        assert entrypoint(["simulate", "--v-center", "200", "--v-width", "100"]) == 3
+        assert capsys.readouterr().err == (
+            "infeasible: velocity 200.0 m/s below cutoff for |order| = 1 (cutoff 295.8 m/s)\n"
+        )
+
     def test_huge_velocities_give_valid_json(self, runner):
         # Squared deviations of about 1e159 m/s once overflowed to Infinity.
         result = invoke(runner, ["simulate", "--v-center", "1e160", "--v-width", "1e159",
@@ -532,6 +538,20 @@ class TestGridBounds:
         assert code == 2
         assert peak < 5_000_000
 
+    @pytest.mark.parametrize("args, grid", [
+        (["incidence-table", "--orders", "1", "--v-min", "300", "--v-max", "1080", "--v-step",
+          "300"], ["300.0", "600.0", "900.0"]),
+        (["scan", "--v-min", "1000", "--v-max", "1080", "--v-step", "100"], ["1000.0"]),
+    ])
+    def test_grid_never_passes_v_max(self, capsys, args, grid):
+        assert entrypoint(args) == 0
+        rows = capsys.readouterr().out.strip().split("\n")[1:]
+        assert [row.split(",")[0] for row in rows] == grid
+
+    def test_grid_keeps_an_endpoint_lost_to_rounding(self):
+        # (0.3 - 0.1) / 0.1 is 1.9999999999999996 steps; the last point is kept.
+        assert _velocity_grid(0.1, 0.3, 0.1) == [0.1, 0.2, 0.30000000000000004]
+
     @pytest.mark.parametrize("key, limit", [
         ("velocity_bins", MAX_VELOCITY_BINS), ("offset_samples", MAX_OFFSET_SAMPLES),
     ])
@@ -540,7 +560,7 @@ class TestGridBounds:
         cfg.write_text(f"sampling:\n  {key}: {limit + 1}\n")
         assert entrypoint(["simulate", "--config", str(cfg)]) == 2
         cfg.write_text(f"sampling:\n  {key}: {limit}\n")
-        assert RunConfig.from_file(cfg).to_dict()["sampling"][key] == limit
+        assert RunConfig.from_file(cfg).data["sampling"][key] == limit
 
 
 HUGE_ORDER = "9" * 400  # an integer too large for a float
@@ -641,7 +661,7 @@ class TestInputContract:
         }[command]
         if theta is not None:
             argv.append(f"--theta-out-deg={theta!r}")
-        if order is not None:
+        if order is not None and command in {"paths", "simulate", "scan"}:
             argv.append(f"--order={order}")
         assert entrypoint(argv + ["--config", small_config]) in {0, 2, 3}
 

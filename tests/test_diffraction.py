@@ -72,6 +72,14 @@ class TestDiffractionAngle:
         theta = diffraction_angle(math.radians(85.0), -2, helium, grating, 300.0)
         assert math.sin(theta) == pytest.approx(-0.9683934554931960, abs=1e-12)
 
+    def test_evanescent_message(self, helium, grating):
+        with pytest.raises(EvanescentOrderError) as info:
+            diffraction_angle(0.5, 3, helium, grating, 300.0)
+        assert str(info.value) == (
+            "evanescent diffraction order: arcsin argument 3.4263077689816157 outside [-1, 1] "
+            "(order 3)"
+        )
+
     def test_rejects_grazing_incidence(self, helium, grating):
         with pytest.raises(ValueError):
             diffraction_angle(math.pi / 2, 0, helium, grating, 1000.0)
@@ -118,6 +126,15 @@ class TestVelocityDivergence:
         with pytest.raises(GrazingSingularityError):
             velocity_divergence(theta_inc, 1, helium, grating, 1000.0)
 
+    def test_grazing_message(self, helium, grating):
+        setting = MonochromatorSetting(theta_out=math.radians(89.99999999), total_order=1)
+        theta_inc = incidence_for_output(setting, helium, grating, 1000.0)
+        with pytest.raises(GrazingSingularityError) as info:
+            velocity_divergence(theta_inc, 1, helium, grating, 1000.0)
+        assert str(info.value) == (
+            "velocity divergence singular: |arcsin argument| = 1.0 too close to 1"
+        )
+
     def test_evanescent_argument(self, helium, grating):
         with pytest.raises(EvanescentOrderError):
             velocity_divergence(math.radians(85.0), 1, helium, grating, 1000.0)
@@ -152,6 +169,14 @@ class TestIncidenceForOutput:
             with pytest.raises(BelowCutoffError):
                 incidence_for_output(setting, helium, grating, cut - 1.0)
             incidence_for_output(setting, helium, grating, cut + 1.0)
+
+    @pytest.mark.parametrize("v", [200.0, 100.0])  # arcsin argument in [-1, 0) and below -1
+    def test_below_cutoff_message(self, helium, grating, setting, v):
+        with pytest.raises(BelowCutoffError) as info:
+            incidence_for_output(setting, helium, grating, v)
+        assert str(info.value) == (
+            f"velocity {v} m/s below cutoff for |order| = 1 (cutoff 295.8 m/s)"
+        )
 
     def test_monotone_in_velocity(self, helium, grating):
         for n in (1, 2, 3):
@@ -195,6 +220,3 @@ class TestGratingValidation:
             Grating(period=1e-10, reflection_probabilities={0: 1.5})
         with pytest.raises(ValueError):
             Grating(period=-1e-10)
-
-    def test_max_order(self, grating):
-        assert grating.max_order == 2

@@ -149,18 +149,16 @@ GRAZING_THETA_OUT = math.radians(89.99999999)
 
 
 @settings(max_examples=500, deadline=None)
-@example(theta_out=GRAZING_THETA_OUT, n=-1, max_order=2, v=572.0, separation=1e-3)
-@example(theta_out=GRAZING_THETA_OUT, n=10**9, max_order=3, v=1e30, separation=1e-3)
-@example(theta_out=math.radians(85.0), n=-10**9, max_order=2, v=1e30, separation=0.5)
-@example(theta_out=math.radians(85.0), n=0, max_order=2, v=5e-324, separation=1e-3)
-@example(theta_out=math.radians(1.0), n=-1, max_order=0, v=1e30, separation=1e-6)
+@example(theta_out=GRAZING_THETA_OUT, n=-1, max_order=2, v=572.0)
+@example(theta_out=GRAZING_THETA_OUT, n=10**9, max_order=3, v=1e30)
+@example(theta_out=math.radians(85.0), n=-10**9, max_order=2, v=1e30)
+@example(theta_out=math.radians(85.0), n=0, max_order=2, v=5e-324)
+@example(theta_out=math.radians(1.0), n=-1, max_order=0, v=1e30)
 @given(theta_out=st.floats(min_value=math.radians(1.0), max_value=GRAZING_THETA_OUT),
        n=st.sampled_from([0, 1, -1, -2, 3, -5, 10**9, -10**9]),
        max_order=st.integers(min_value=0, max_value=3),
-       v=st.floats(min_value=5e-324, max_value=1e30) | velocities,
-       separation=st.floats(min_value=1e-6, max_value=1.0))
-def test_census_counts_the_groups_of_the_enumerated_records(theta_out, n, max_order, v,
-                                                            separation):
+       v=st.floats(min_value=5e-324, max_value=1e30) | velocities)
+def test_census_counts_the_groups_of_the_enumerated_records(theta_out, n, max_order, v):
     # The census counts what grouping the enumerated records would give, and
     # each record behaves as one built from keywords, from near-grazing exit
     # to orders of 1e9 and subnormal or huge velocities.
@@ -180,7 +178,6 @@ def test_census_counts_the_groups_of_the_enumerated_records(theta_out, n, max_or
         assert repr(p) == repr(keyword)
         assert p._asdict() == keyword._asdict()
         assert p.orders == keyword.orders == (p.n1, p.n2, p.n3)
-        assert p.span(separation) == keyword.span(separation)
 
 
 diameters = st.floats(min_value=-12.0, max_value=3.0).map(lambda e: 10.0 ** e)
