@@ -41,6 +41,7 @@ offset; the README grids and the tests' ranges never met such a column.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -93,11 +94,16 @@ def _exit_rows(theta_inc, orders, particle, grating, v):
     """Angle after each bounce of ``orders`` for every velocity in ``v``, and which rows propagate.
 
     Each order shifts sin(theta) by lambda/period = 2 pi hbar / (m a) / v; evanescent rows get
-    clipped angles.  A step that overflows (subnormal v; 0 * inf is NaN) is evanescent.
+    clipped angles.  A step that overflows (subnormal v; 0 * inf is NaN) is evanescent.  The rows
+    of ``v`` ascend but for a last reference row, so its smallest velocity is at one end.
     """
+    unit = 2.0 * math.pi * HBAR / (particle.mass * grating.period)
+    # Shifts and partial sums stay finite while |orders| * unit / v is far below the float
+    # maximum; for helium on the default grating the step itself overflows below 1.6e-306 m/s.
+    finite = unit * max(1, sum(map(abs, orders))) < 1e300 * float(min(v[0], v[-1]))
     angles, sine, valid = [], math.sin(theta_inc), True
-    with np.errstate(over="ignore", invalid="ignore"):
-        step = 2.0 * math.pi * HBAR / (particle.mass * grating.period) / v
+    with contextlib.nullcontext() if finite else np.errstate(over="ignore", invalid="ignore"):
+        step = unit / v
         for n in orders:
             sine = sine + n * step
             valid &= np.abs(sine) <= 1.0

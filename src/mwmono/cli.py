@@ -11,17 +11,15 @@ byte-stable for identical configs.
 
 from __future__ import annotations
 
+import argparse
 import csv
-import functools
 import io
 import json
 import math
 import sys
 
-import click
-
 from . import __version__
-from .config import RunConfig, _merge, dump_default_config, read_config
+from .config import DEFAULT_CONFIG, RunConfig, _merge, dump_default_config, read_config
 from .diffraction import (
     MonochromatorSetting,
     _MAX_ORDER,
@@ -49,7 +47,7 @@ def _emit(text: str, out: str | None):
         except OSError as exc:
             raise ConfigurationError(f"cannot write {out}: {exc.strerror or exc}") from None
     else:
-        click.echo(text, nl=False)
+        sys.stdout.write(text)
 
 
 def _csv_text(header: list[str], rows: list[list]) -> str:
@@ -72,17 +70,6 @@ def _table_text(fmt: str, header: list[str], rows: list[list]) -> str:
     return _csv_text(header, rows)
 
 
-@click.group()
-@click.version_option(__version__)
-@click.option("--dump-default-config", is_flag=True, is_eager=True, expose_value=False,
-              callback=lambda ctx, param, value: (
-                  (click.echo(dump_default_config(), nl=False), ctx.exit(0)) if value else None
-              ),
-              help="Print the default config as YAML and exit.")
-def main():
-    """Matter-wave monochromator simulator."""
-
-
 #: Most velocities one table or scan may list.
 MAX_GRID_POINTS = 1_000_000
 
@@ -98,75 +85,61 @@ def _velocity_grid(v_min, v_max, v_step):
     return [v_min + i * v_step for i in range(n + 1)]
 
 
-def _parse_orders(ctx, param, value):
+def _order(text: str) -> int:
     try:
-        orders = [int(tok) for tok in value.split(",") if tok.strip()]
+        order = int(text)
     except ValueError:
-        raise click.BadParameter(f"expected comma-separated integers, got {value!r}") from None
-    if any(abs(n) > _MAX_ORDER for n in orders):
-        raise click.BadParameter(f"every |order| must be at most {_MAX_ORDER}")
-    return orders
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if abs(order) > _MAX_ORDER:
+        raise argparse.ArgumentTypeError(f"every |order| must be at most {_MAX_ORDER}")
+    return order
 
 
-def _override(flag, key, **attrs):
-    """An option that, when given, writes its value at config ``key`` ("section/name")."""
-    def write(ctx, param, value):
-        if value is not None:
-            *sections, last = key.split("/")
-            node = ctx.ensure_object(dict)
-            for section in sections:
-                node = node.setdefault(section, {})
-            node[last] = value
-    return click.Option([flag], expose_value=False, callback=write, **attrs)
+def _orders(text: str) -> list[int]:
+    return [_order(tok) for tok in text.split(",") if tok.strip()]
 
 
-#: Every option, declared once and keyed by its flag; each command names the ones it takes.
-_OPTIONS = {option.opts[0]: option for option in [
-    click.Option(["--config"], type=click.Path(exists=True, dir_okay=False),
-                 help="YAML or JSON config file."),
-    _override("--particle", "particle", help="Particle preset name."),
-    _override("--theta-out-deg", "setting/theta_out_deg", type=float,
-              help="Fixed exit angle [deg]."),
-    _override("--v-center", "beam/v_center_mps", type=float, help="Beam centre velocity [m/s]."),
-    _override("--v-width", "beam/v_width_mps", type=float, help="Beam full width [m/s]."),
-    _override("--order", "setting/total_order", type=click.IntRange(-_MAX_ORDER, _MAX_ORDER),
-              help="Total diffraction order (signed; magnitude is used)."),
-    click.Option(["--format", "fmt"], type=click.Choice(["csv", "json"]), default="csv",
-                 show_default=True, help="Output format."),
-    click.Option(["--orders"], default="1,2,3", show_default=True, callback=_parse_orders,
-                 help="Comma-separated list of total orders."),
-    click.Option(["--v", "velocity"], type=float, required=True, help="Beam velocity [m/s]."),
-    click.Option(["--v-min"], type=float, default=300.0, show_default=True),
-    click.Option(["--v-max"], type=float, default=5000.0, show_default=True),
-    click.Option(["--v-step"], type=float, default=100.0, show_default=True),
-    click.Option(["--out"], type=click.Path(dir_okay=False, writable=True),
-                 help="Output file (stdout if omitted)."),
-]}
+#: Every option as ``add_argument`` keywords, declared once and keyed by its flag.  An
+#: override's dest is the config key ("section/name") its value is merged at, when given.
+_OPTIONS = {
+    "--config": dict(help="YAML or JSON config file."),
+    "--particle": dict(dest="particle", default=argparse.SUPPRESS, help="Particle preset name."),
+    "--theta-out-deg": dict(dest="setting/theta_out_deg", type=float, default=argparse.SUPPRESS,
+                            help="Fixed exit angle [deg]."),
+    "--v-center": dict(dest="beam/v_center_mps", type=float, default=argparse.SUPPRESS,
+                       help="Beam centre velocity [m/s]."),
+    "--v-width": dict(dest="beam/v_width_mps", type=float, default=argparse.SUPPRESS,
+                      help="Beam full width [m/s]."),
+    "--order": dict(dest="setting/total_order", type=_order, default=argparse.SUPPRESS,
+                    help="Total diffraction order (signed; magnitude is used)."),
+    "--format": dict(dest="fmt", choices=["csv", "json"], default="csv",
+                     help="Output format, csv or json (default: %(default)s)."),
+    "--orders": dict(type=_orders, default="1,2,3",
+                     help="Comma-separated list of total orders (default: %(default)s)."),
+    "--v": dict(dest="velocity", type=float, required=True, help="Beam velocity [m/s]."),
+    "--v-min": dict(type=float, default=300.0, help="First velocity [m/s] (default: %(default)s)."),
+    "--v-max": dict(type=float, default=5000.0, help="Last velocity [m/s] (default: %(default)s)."),
+    "--v-step": dict(type=float, default=100.0, help="Velocity step [m/s] (default: %(default)s)."),
+    "--out": dict(help="Output file (stdout if omitted)."),
+}
+
+#: Each command's function and its flags, registered by :func:`_command`.
+_COMMANDS: dict = {}
 
 
-def _command(name, *flags, help=None):
-    """Register command ``name`` taking the shared options and ``flags``; the function gets
-    the validated config and ``velocities`` in place of ``--v-min/--v-max/--v-step``."""
+def _command(name, *flags):
+    """Register command ``name`` taking ``--config``, ``--particle``, ``--theta-out-deg``,
+    ``--out`` and ``flags``; the function gets the validated config and the other flags'
+    values, with ``velocities`` in place of ``--v-min/--v-max/--v-step``."""
     def register(f):
-        @functools.wraps(f)
-        def command(config, **kwargs):
-            raw = read_config(config) if config else {}
-            cfg = RunConfig.from_dict(_merge(raw, click.get_current_context().ensure_object(dict)))
-            if "v_step" in kwargs:
-                kwargs["velocities"] = _velocity_grid(
-                    kwargs.pop("v_min"), kwargs.pop("v_max"), kwargs.pop("v_step"))
-            return f(cfg, **kwargs)
-
-        shared = ("--config", "--particle", "--theta-out-deg", "--out")
-        params = [_OPTIONS[flag] for flag in shared + flags]
-        return main.command(name, help=help, params=params)(command)
+        _COMMANDS[name] = f, ("--config", "--particle", "--theta-out-deg", "--out") + flags
+        return f
     return register
 
 
 def _order_table(name, column, value, doc):
     """Register a table command filling ``column`` of each (order, velocity) row
     with ``value(theta_inc, |order|, particle, grating, v)``; exit 3 if no row is ok."""
-    @_command(name, "--format", "--orders", "--v-min", "--v-max", "--v-step", help=doc)
     def table(cfg, out, fmt, orders, velocities):
         p, g, base = cfg.particle(), cfg.grating(), cfg.setting()
         rows = []
@@ -183,6 +156,9 @@ def _order_table(name, column, value, doc):
         _emit(_table_text(fmt, ["velocity_mps", "order", column, "status"], rows), out)
         if all(row[3] != "ok" for row in rows):
             raise SystemExit(EXIT_INFEASIBLE)
+
+    table.__doc__ = doc
+    _command(name, "--format", "--orders", "--v-min", "--v-max", "--v-step")(table)
 
 
 _order_table("incidence-table", "theta_inc_deg", lambda theta, *_: math.degrees(theta),
@@ -241,15 +217,14 @@ def simulate_cmd(cfg, out):
     _emit(_json_text(payload), out)
 
 
-@_command("scan", "--v-center", "--v-width", "--order", "--format", "--v-min", "--v-max",
-          "--v-step")
+@_command("scan", "--v-width", "--order", "--format", "--v-min", "--v-max", "--v-step")
 def scan_cmd(cfg, out, fmt, velocities):
     """Speed-ratio scan over centre velocities (CSV or JSON)."""
     from .beamline import scan_speed_ratio
 
     rows_out = scan_speed_ratio(
         velocities,
-        cfg.beam().full_width,
+        cfg.beam_width,
         cfg.beamline(), cfg.particle(), cfg.grating(),
         velocity_bins=cfg.velocity_bins, offset_samples=cfg.offset_samples,
         baseline_theta_inc=cfg.baseline_theta_inc, baseline_order=cfg.baseline_order,
@@ -263,23 +238,84 @@ def scan_cmd(cfg, out, fmt, velocities):
         raise SystemExit(EXIT_INFEASIBLE)
 
 
+class _UsageError(Exception):
+    """A command line that names no command, an unknown flag or a bad flag value."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors for :func:`entrypoint` to report instead of exiting."""
+
+    def __init__(self, **kwargs):
+        super().__init__(add_help=False, allow_abbrev=False, **kwargs)
+        self.add_argument("--help", action="help", help="Show this message and exit.")
+
+    def error(self, message):
+        raise _UsageError(message)
+
+    def _parse_optional(self, arg_string):
+        # Every flag is long, so a token with one leading dash ("-1,-2", "-inf") is a value.
+        return super()._parse_optional(arg_string) if arg_string.startswith("--") else None
+
+
+class _DumpDefaultConfig(argparse.Action):
+    """Print the default config and exit before any command runs."""
+
+    def __init__(self, option_strings, dest, **kwargs):
+        super().__init__(option_strings, dest, nargs=0, default=argparse.SUPPRESS, **kwargs)
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        sys.stdout.write(dump_default_config())
+        parser.exit()
+
+
+def _parser() -> _Parser:
+    parser = _Parser(prog="mwmono", description="Matter-wave monochromator simulator.")
+    parser.add_argument("--version", action="version", version=f"mwmono, version {__version__}",
+                        help="Show the version and exit.")
+    parser.add_argument("--dump-default-config", action=_DumpDefaultConfig,
+                        help="Print the default config as YAML and exit.")
+    commands = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
+    for name, (f, flags) in _COMMANDS.items():
+        command = commands.add_parser(name, help=f.__doc__, description=f.__doc__)
+        for flag in flags:
+            command.add_argument(flag, metavar=flag[2:].upper(), **_OPTIONS[flag])
+    return parser
+
+
 def entrypoint(argv=None) -> int:
-    """Programmatic entry mapping simulator errors to exit codes."""
+    """Programmatic entry mapping usage and simulator errors to exit codes."""
     try:
-        main.main(args=argv, standalone_mode=False)
+        args, extras = _parser().parse_known_args(argv)
+        if extras:
+            flag = extras[0].split("=")[0]
+            raise _UsageError(f"No such option: {flag}" if flag.startswith("-")
+                              else f"unexpected argument {extras[0]!r}")
+        kwargs = vars(args)
+        f, _ = _COMMANDS[kwargs.pop("command")]
+        overrides = {}  # override dests are config keys ("section/name"), known by their section
+        for key in [key for key in kwargs if key.split("/")[0] in DEFAULT_CONFIG]:
+            *sections, last = key.split("/")
+            node = overrides
+            for section in sections:
+                node = node.setdefault(section, {})
+            node[last] = kwargs.pop(key)
+        config = kwargs.pop("config")
+        cfg = RunConfig.from_dict(_merge(read_config(config) if config else {}, overrides))
+        if "v_step" in kwargs:
+            kwargs["velocities"] = _velocity_grid(
+                kwargs.pop("v_min"), kwargs.pop("v_max"), kwargs.pop("v_step"))
+        f(cfg, **kwargs)
         return 0
     except SystemExit as exc:
         return int(exc.code or 0)
-    except click.exceptions.Exit as exc:
-        return exc.exit_code
-    except click.UsageError as exc:
-        click.echo(f"error: {exc.format_message()}", err=True)
+    except _UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     except ConfigurationError as exc:
-        click.echo(f"config error: {exc}", err=True)
+        print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     except MonochromatorError as exc:
-        click.echo(f"infeasible: {exc}", err=True)
+        print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
 
 

@@ -137,13 +137,17 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
-        """Merge ``raw`` over the defaults, check its shape, then build every domain object."""
+        """Merge ``raw`` over the defaults, check its shape, then build every domain object.
+
+        The beam is checked for its width alone: a scan takes each centre from its grid,
+        so the configured centre is checked where :meth:`beam` builds the beam.
+        """
         merged = _merge(DEFAULT_CONFIG, raw or {})
         _check_shape(merged, DEFAULT_CONFIG)
         cfg = cls(data=merged)
         for section, build in [
             ("particle", cfg.particle), ("material", cfg.grating), ("setting", cfg.setting),
-            ("device", cfg.device), ("beamline", cfg.beamline), ("beam", cfg.beam),
+            ("device", cfg.device), ("beamline", cfg.beamline), ("beam", lambda: cfg.beam_width),
             ("sampling", lambda: _check_grid(cfg.velocity_bins, cfg.offset_samples)),
             ("baseline/theta_inc_deg", lambda: cfg.baseline_theta_inc),
             ("baseline/order", lambda: cfg.baseline_order),
@@ -205,11 +209,20 @@ class RunConfig:
         )
 
     def beam(self) -> BeamSpec:
+        """The configured beam; :meth:`from_dict` leaves its centre to be checked here."""
         spec = self.data["beam"]
-        return BeamSpec(
-            center_velocity=spec["v_center_mps"],
-            full_width=spec["v_width_mps"],
-        )
+        try:
+            return BeamSpec(center_velocity=spec["v_center_mps"], full_width=spec["v_width_mps"])
+        except ValueError as exc:
+            raise _invalid("beam", exc) from None
+
+    @property
+    def beam_width(self) -> float:
+        """The beam's full width [m/s], which a scan reads without the centre."""
+        width = self.data["beam"]["v_width_mps"]
+        if not width > 0:
+            raise ValueError(f"full_width must be positive, got {width}")
+        return width
 
     @property
     def velocity_bins(self) -> int:

@@ -17,9 +17,8 @@ an intended change of output, e.g.
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
-from mwmono.cli import main
+from mwmono.cli import entrypoint
 
 GOLDEN = Path(__file__).parent / "golden"
 README_SCAN = ["scan", "--v-min", "300", "--v-max", "5000", "--v-step", "100"]
@@ -46,7 +45,6 @@ README_SCAN = ["scan", "--v-min", "300", "--v-max", "5000", "--v-step", "100"]
     (["simulate", "--config", str(GOLDEN / "tight_pinhole.yaml")],
      "simulate_tight_pinhole.json"),
 ])
-def test_cli_output_matches_golden(args, name):
-    result = CliRunner().invoke(main, args, catch_exceptions=False)
-    assert result.exit_code == 0
-    assert result.stdout_bytes == (GOLDEN / name).read_bytes()
+def test_cli_output_matches_golden(capsysbinary, args, name):
+    assert entrypoint(args) == 0
+    assert capsysbinary.readouterr().out == (GOLDEN / name).read_bytes()
