@@ -41,7 +41,6 @@ offset; the README grids and the tests' ranges never met such a column.
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass
 
@@ -55,6 +54,12 @@ from .geometry import (
     BASELINE_ORDER, BASELINE_THETA_INC, DEFAULT_OFFSET_SAMPLES, DEFAULT_VELOCITY_BINS,
     Beamline, BeamSpec, DiffractionPath, _check_grid, select_path,
 )
+
+# The kernels' one floating-point policy: overflow, division by zero and invalid operations
+# (0 * inf, inf - inf) give inf or NaN silently.  Every cut is a comparison, which NaN fails, so
+# no cut passes a NaN row or ray.  As a decorator each call enters its own scope; ``_reduce``
+# runs outside it.
+_ROW_ERRSTATE = np.errstate(over="ignore", invalid="ignore", divide="ignore")
 
 
 @dataclass(frozen=True)
@@ -94,20 +99,14 @@ def _exit_rows(theta_inc, orders, particle, grating, v):
     """Angle after each bounce of ``orders`` for every velocity in ``v``, and which rows propagate.
 
     Each order shifts sin(theta) by lambda/period = 2 pi hbar / (m a) / v; evanescent rows get
-    clipped angles.  A step that overflows (subnormal v; 0 * inf is NaN) is evanescent.  The rows
-    of ``v`` ascend but for a last reference row, so its smallest velocity is at one end.
+    clipped angles.  A step that overflows (subnormal v; 0 * inf is NaN) is evanescent.
     """
-    unit = 2.0 * math.pi * HBAR / (particle.mass * grating.period)
-    # Shifts and partial sums stay finite while |orders| * unit / v is far below the float
-    # maximum; for helium on the default grating the step itself overflows below 1.6e-306 m/s.
-    finite = unit * max(1, sum(map(abs, orders))) < 1e300 * float(min(v[0], v[-1]))
+    step = 2.0 * math.pi * HBAR / (particle.mass * grating.period) / v
     angles, sine, valid = [], math.sin(theta_inc), True
-    with contextlib.nullcontext() if finite else np.errstate(over="ignore", invalid="ignore"):
-        step = unit / v
-        for n in orders:
-            sine = sine + n * step
-            valid &= np.abs(sine) <= 1.0
-            angles.append(np.arcsin(np.clip(sine, -1.0, 1.0)))
+    for n in orders:
+        sine = sine + n * step
+        valid &= np.abs(sine) <= 1.0
+        angles.append(np.arcsin(np.clip(sine, -1.0, 1.0)))
     return angles, valid
 
 
@@ -125,6 +124,7 @@ def _device_rows(theta_inc, path, device, particle, grating, v, x1):
     return rises, angles[-1], valid, ray
 
 
+@_ROW_ERRSTATE
 def trace_velocity(
     v: float,
     path: DiffractionPath,
@@ -193,7 +193,8 @@ def _row_counts(valid, x, lo, hi, gap=None):
 
 
 def _axes(spec: BeamSpec, beamline: Beamline, velocity_bins: int, offset_samples: int):
-    """Velocity bin centres and source offsets of the sampling grid."""
+    """Velocity bin centres and source offsets of the sampling grid, after checking its size."""
+    _check_grid(velocity_bins, offset_samples)
     vbar, radius = spec.center_velocity, beamline.source_diameter / 2
     velocities = np.linspace(vbar - spec.full_width / 2, vbar + spec.full_width / 2, velocity_bins)
     # Distinct bin centres keep every FWHM positive and so the speed ratio finite.
@@ -249,9 +250,10 @@ def _reduce(spec, velocities, weights) -> BeamlineResult:
     )
 
 
+@_ROW_ERRSTATE
 def _beam_counts(spec, beamline, particle, grating, path, velocity_bins, offset_samples):
     """Velocities, passing offsets per velocity and path transmission of :func:`simulate_beam`."""
-    _check_grid(velocity_bins, offset_samples)
+    velocities, offsets = _axes(spec, beamline, velocity_bins, offset_samples)
     setting = beamline.setting
     device = beamline.device
     vbar = spec.center_velocity
@@ -267,7 +269,6 @@ def _beam_counts(spec, beamline, particle, grating, path, velocity_bins, offset_
     entry_window = min(device.separation * math.tan(theta_inc), length)
     if entry_window <= 0:
         raise EmptyTransmissionError("entry window closed at this incidence angle")
-    velocities, offsets = _axes(spec, beamline, velocity_bins, offset_samples)
 
     # One extra row at the centre velocity holds the reference ray through the axis.
     (rise1, rise2, rise3), theta_exit, valid, central = _device_rows(
@@ -316,16 +317,15 @@ def simulate_beam(
     return _reduce(spec, velocities, counts * (transmission / (velocity_bins * offset_samples)))
 
 
+@_ROW_ERRSTATE
 def _baseline_counts(spec, beamline, particle, grating, theta_inc, order,
                      velocity_bins, offset_samples):
     """Velocities, passing offsets per velocity and reflection probability of the baseline."""
-    _check_grid(velocity_bins, offset_samples)
-    vbar = spec.center_velocity
     velocities, offsets = _axes(spec, beamline, velocity_bins, offset_samples)
 
     # The last row, at the centre velocity, is the reference ray.
     (theta_exit,), valid = _exit_rows(
-        theta_inc, (order,), particle, grating, np.append(velocities, vbar)
+        theta_inc, (order,), particle, grating, np.append(velocities, spec.center_velocity)
     )
     if not valid[-1]:
         raise EmptyTransmissionError("baseline centre velocity evanescent")
@@ -388,31 +388,28 @@ def scan_speed_ratio(
     weight is transmitted, the velocity is below cutoff, or the centre is not
     above half the width, plus half the width overflows or the width cannot
     be split into distinct bins there, are emitted with a flag instead of
-    being dropped.  A width that no centre can split is a configuration error.
+    being dropped.  A configuration error that flags every centre, such as a
+    width no centre can split or an oversized grid, is raised.
     """
-    _check_grid(velocity_bins, offset_samples)
-    rows, split_error = [], None
+    rows, config_error = [], None
     for vbar in v_centers:
         vbar = float(vbar)
-        try:
-            spec = BeamSpec(center_velocity=vbar, full_width=full_width)
-            _axes(spec, beamline, velocity_bins, offset_samples)
-        except (ValueError, ConfigurationError) as exc:
-            if not full_width > 0:
-                raise
-            if isinstance(exc, ConfigurationError):
-                split_error = exc
-            rows.append(ScanRow(vbar, vbar / full_width, None, None, None, "invalid_center"))
-            continue
         flag = ""
         final = throughput = None
         try:
+            spec = BeamSpec(center_velocity=vbar, full_width=full_width)
             result = simulate_beam(
                 spec, beamline, particle, grating,
                 velocity_bins=velocity_bins, offset_samples=offset_samples,
             )
-            final = result.speed_ratio
-            throughput = result.throughput
+            final, throughput = result.speed_ratio, result.throughput
+        except (ValueError, ConfigurationError) as exc:
+            if not full_width > 0:
+                raise
+            if isinstance(exc, ConfigurationError):
+                config_error = exc
+            rows.append(ScanRow(vbar, vbar / full_width, None, None, None, "invalid_center"))
+            continue
         except EmptyTransmissionError:
             flag = "empty_transmission"
         except BelowCutoffError:
@@ -436,6 +433,6 @@ def scan_speed_ratio(
                 flag=flag,
             )
         )
-    if split_error is not None and all(row.flag == "invalid_center" for row in rows):
-        raise split_error
+    if config_error is not None and all(row.flag == "invalid_center" for row in rows):
+        raise config_error
     return rows

@@ -237,16 +237,17 @@ def select_path(
     grating: Grating,
     v: float,
     device: DeviceGeometry,
-    max_order: int = 2,
 ) -> DiffractionPath:
     """Pick the feasible path with the highest transmission at velocity v.
 
     Feasible means the device's l/s ratio lies inside the path's band and
-    the grating defines all three reflection probabilities.  Other feasible
-    paths exit at macroscopically different positions and are treated as
-    background removed by the exit pinholes.
+    the grating defines all three reflection probabilities.  The kernel
+    simulates only the returned path and centres the exit pinholes on its
+    central ray.  Other feasible paths of the same total order leave at the
+    same exit angle and can pass those pinholes too (from about 600 m/s at
+    the defaults), but they are left out of the throughput.
     """
-    paths = enumerate_paths(setting, particle, grating, v, max_order=max_order)
+    paths = enumerate_paths(setting, particle, grating, v)
     ratio = device.length_ratio
     width = math.tan(setting.theta_out)  # of every path's band; see feasibility_band
     feasible = [

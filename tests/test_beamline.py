@@ -287,8 +287,13 @@ class TestBeamlineValidation:
             Pinhole(diameter=0.0, distance=1.0)
 
 
+def scan_one_centre(spec, *args, **kwargs):
+    return scan_speed_ratio([spec.center_velocity], spec.full_width, *args, **kwargs)
+
+
 class TestGridLimits:
-    @pytest.mark.parametrize("kernel", [simulate_beam, single_reflection_baseline])
+    @pytest.mark.parametrize("kernel", [simulate_beam, single_reflection_baseline,
+                                        scan_one_centre])
     @pytest.mark.parametrize("bins, samples", [
         (MAX_VELOCITY_BINS + 1, 1), (3, MAX_OFFSET_SAMPLES + 1),
     ])

@@ -402,6 +402,35 @@ class TestSimulateAndScan:
         assert out == ""
         assert "config error: beam width 1e-300 m/s cannot be split into 2001" in err
 
+    def test_split_is_checked_before_the_cutoff(self, capsys):
+        # 200 m/s is below the 295.8 m/s cutoff, but the width is checked first.
+        message = ("config error: beam width 1e-300 m/s cannot be split into 2001 distinct "
+                   "velocity bins at 200.0 m/s\n")
+        for args in (["simulate", "--v-center", "200"],
+                     ["scan", "--v-min", "200", "--v-max", "200"]):
+            assert entrypoint([*args, "--v-width", "1e-300"]) == 2
+            assert capsys.readouterr() == ("", message)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_plate_gap_blocks_the_central_ray(self, tmp_path, capsys):
+        # The rises of a 1e300 mm gap overflow to infinity inside the kernel.
+        cfg = tmp_path / "wide_gap.yaml"
+        cfg.write_text("device: {separation_mm: 1.0e+300}\n")
+        assert entrypoint(["simulate", "--v-center", "300", "--config", str(cfg)]) == 3
+        assert capsys.readouterr() == ("", "infeasible: central ray blocked inside the device\n")
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_pinhole_bounds_pass_every_ray(self, tmp_path):
+        # A 1e300 mm pinhole 1e-300 mm from the exit passes every ray the default pinholes pass.
+        cfg = tmp_path / "huge_pinhole.yaml"
+        cfg.write_text("beamline:\n  exit_pinholes:\n"
+                       "  - {diameter_mm: 1.0e+300, distance_mm: 1.0e-300}\n"
+                       "  - {diameter_mm: 10.0, distance_mm: 500.0}\n"
+                       "  - {diameter_mm: 10.0, distance_mm: 1000.0}\n")
+        huge = invoke(["simulate", "--v-center", "300", "--config", str(cfg)])
+        assert huge.exit_code == 0
+        assert huge.stdout_bytes == invoke(["simulate", "--v-center", "300"]).stdout_bytes
+
     def test_scan_keeps_rows_beside_unsplittable_centres(self):
         # At 5e19 and 1e20 m/s the 500 m/s beam rounds onto too few distinct bins.
         result = invoke(["scan", "--v-min", "1000", "--v-max", "1e20",

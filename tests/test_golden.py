@@ -1,16 +1,8 @@
 """The CLI reproduces stored outputs of the README commands byte for byte.
 
-The scan and simulate files under ``tests/golden/`` were written by the
-full-grid kernels before rows were settled from their end columns, and the
-further simulate files (``simulate_300``, ``simulate_5000`` and the
-``tight_pinhole.yaml`` run) by the settled kernels before rows were counted
-from their cut intervals; the table, path and default-config files by the
-CLI before its config layer was reduced to one merge and one validation;
-the further path files (JSON prints every float in full) before the path
-records became named tuples.  ``default_config.yaml`` was regenerated once,
-on purpose, when the source pinhole's unused ``distance_mm`` was deleted; it
-lost that one line.  Regenerate one only for
-an intended change of output, e.g.
+Each case runs one command in process and compares its stdout with a file
+under ``tests/golden/``.  Regenerate one only for an intended change of
+output, e.g.
 ``mwmono scan --v-min 300 --v-max 5000 --v-step 100 > tests/golden/scan.csv``.
 """
 
