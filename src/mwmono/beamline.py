@@ -99,9 +99,11 @@ def _exit_rows(theta_inc, orders, particle, grating, v):
     """Angle after each bounce of ``orders`` for every velocity in ``v``, and which rows propagate.
 
     Each order shifts sin(theta) by lambda/period = 2 pi hbar / (m a) / v; evanescent rows get
-    clipped angles.  A step that overflows (subnormal v; 0 * inf is NaN) is evanescent.
+    clipped angles.  A step that overflows (subnormal v, or m * a underflowing to 0; 0 * inf
+    is NaN) is evanescent.
     """
-    step = 2.0 * math.pi * HBAR / (particle.mass * grating.period) / v
+    mass_period = particle.mass * grating.period
+    step = (2.0 * math.pi * HBAR / mass_period if mass_period else math.inf) / v
     angles, sine, valid = [], math.sin(theta_inc), True
     for n in orders:
         sine = sine + n * step

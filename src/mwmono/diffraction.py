@@ -189,6 +189,5 @@ def cutoff_velocity(
     n = setting.order_magnitude
     if n == 0:
         return 0.0
-    return n * 2.0 * math.pi * HBAR / (
-        particle.mass * grating.period * math.cos(setting.epsilon)
-    )
+    denominator = particle.mass * grating.period * math.cos(setting.epsilon)
+    return n * 2.0 * math.pi * HBAR / denominator if denominator else math.inf  # 0 if it underflows

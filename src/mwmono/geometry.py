@@ -16,6 +16,7 @@ path or building and validating a config never loads the numpy kernels of
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from operator import attrgetter
@@ -138,8 +139,9 @@ class DiffractionPath(NamedTuple):
     for one of the orders involved.  A named tuple: immutable and hashable,
     and several times cheaper to build than a frozen dataclass.
     :func:`enumerate_paths` builds its records with ``tuple.__new__``, which
-    is what the generated ``__new__`` does, without its Python frame: a
-    census sweep builds about 16 records per velocity, twice.
+    is what the generated ``__new__`` does, without its Python frame.
+    :func:`select_path` builds only the record it returns, and
+    :func:`path_census` builds none.
     """
 
     n1: int
@@ -171,6 +173,34 @@ class FeasibilityBand:
         return self.lower < ratio < self.upper
 
 
+@functools.lru_cache(maxsize=64)
+def _combinations(total: int, max_order: int):
+    """(n1, n2, n3) combinations for (n1, n2) in [-max_order, max_order], n1 first, and their
+    distinct orders; n3 = total - n1 - n2 by order conservation."""
+    internal = range(-max_order, max_order + 1)
+    combos = tuple((n1, n2, total - n1 - n2) for n1 in internal for n2 in internal)
+    return combos, tuple({n for combo in combos for n in combo})
+
+
+def _propagating(sin_inc: float, step: float, combos, orders):
+    """Yield (n1, n2, n3, s1, s2) for each of ``combos``, in order, whose three bounces propagate.
+
+    s1 and s2 are the sines after the first and second bounce; order n shifts the sine by
+    n * step.  ``orders`` holds every order in ``combos``.  The specular shift is 0.0, not
+    0 * step, which is nan once the momentum underflows and the step is inf.  A sine is
+    rejected by ``abs(s) > 1.0``, so NaN passes.
+    """
+    shift = {n: n * step if n else 0.0 for n in orders}
+    for n1, n2, n3 in combos:
+        s1 = sin_inc + shift[n1]
+        if abs(s1) > 1.0:
+            continue
+        s2 = s1 + shift[n2]
+        if abs(s2) > 1.0 or abs(s2 + shift[n3]) > 1.0:
+            continue
+        yield n1, n2, n3, s1, s2
+
+
 def enumerate_paths(
     setting: MonochromatorSetting,
     particle: Particle,
@@ -185,43 +215,18 @@ def enumerate_paths(
     angles exist (no evanescent order).  An empty list is a valid result.
     """
     theta_inc = incidence_for_output(setting, particle, grating, v)
-    total = setting.order_magnitude
     step = wavelength_ratio(particle, grating, v)
-    sin_inc = math.sin(theta_inc)
+    combos, orders = _combinations(setting.order_magnitude, max_order)
     probs = grating.reflection_probabilities
-    # Sine shift and reflection probability of every order a bounce can take:
-    # n1, n2 in -max_order..max_order and n3 = total - n1 - n2.  The specular
-    # shift is 0.0, not 0 * step, which is nan once the momentum underflows
-    # and the step is inf.
-    low = total - 2 * max_order
-    orders = range(min(-max_order, low), total + 2 * max_order + 1)
-    if low > max_order + 1:  # skip the orders no bounce takes
-        orders = (*range(-max_order, max_order + 1), *range(low, orders.stop))
-    bounce = {n: (n * step if n else 0.0, probs.get(abs(n))) for n in orders}
-    internal = range(-max_order, max_order + 1)
-
+    prob = {n: probs.get(abs(n)) for n in orders}
     paths = []
-    for n1 in internal:
-        shift1, p1 = bounce[n1]
-        s1 = sin_inc + shift1
-        if abs(s1) > 1.0:
-            continue
-        alpha1 = math.asin(s1)
-        tan1 = math.tan(alpha1)
-        for n2 in internal:
-            shift2, p2 = bounce[n2]
-            s2 = s1 + shift2
-            if abs(s2) > 1.0:
-                continue
-            n3 = total - n1 - n2
-            shift3, p3 = bounce[n3]
-            if abs(s2 + shift3) > 1.0:
-                continue
-            alpha2 = math.asin(s2)
-            paths.append(tuple.__new__(DiffractionPath, (
-                n1, n2, n3, alpha1, alpha2, tan1 + math.tan(alpha2),
-                None if p1 is None or p2 is None or p3 is None else p1 * p2 * p3,
-            )))
+    for n1, n2, n3, s1, s2 in _propagating(math.sin(theta_inc), step, combos, orders):
+        alpha1, alpha2 = math.asin(s1), math.asin(s2)
+        p1, p2, p3 = prob[n1], prob[n2], prob[n3]
+        paths.append(tuple.__new__(DiffractionPath, (
+            n1, n2, n3, alpha1, alpha2, math.tan(alpha1) + math.tan(alpha2),
+            None if p1 is None or p2 is None or p3 is None else p1 * p2 * p3,
+        )))
     return paths
 
 
@@ -229,6 +234,24 @@ def feasibility_band(path: DiffractionPath, setting: MonochromatorSetting) -> Fe
     """l/s interval in which the device realizes this path."""
     lower = path.geometry_ratio
     return FeasibilityBand(lower=lower, upper=lower + math.tan(setting.theta_out))
+
+
+@functools.lru_cache(maxsize=64)
+def _ranked_combinations(probabilities: tuple[tuple[int, float], ...], total: int):
+    """:func:`select_path`'s candidates, best first, and their distinct orders.
+
+    The candidates are the max_order 2 combinations whose three reflection probabilities
+    ``probabilities`` (the grating's (|order|, p) items) all define, ordered by
+    (transmission, -|n1|, orders) from the highest.  That order holds at every velocity.
+    """
+    probs = dict(probabilities)
+    keys = {}
+    for combo in _combinations(total, 2)[0]:
+        p1, p2, p3 = (probs.get(abs(n)) for n in combo)
+        if p1 is not None and p2 is not None and p3 is not None:
+            keys[combo] = (p1 * p2 * p3, -abs(combo[0]), combo)
+    ranked = tuple(sorted(keys, key=keys.__getitem__, reverse=True))
+    return ranked, tuple({n for combo in ranked for n in combo})
 
 
 def select_path(
@@ -241,23 +264,32 @@ def select_path(
     """Pick the feasible path with the highest transmission at velocity v.
 
     Feasible means the device's l/s ratio lies inside the path's band and
-    the grating defines all three reflection probabilities.  The kernel
+    the grating defines all three reflection probabilities; ties go to the
+    smaller |n1|, then the larger orders.  The kernel
     simulates only the returned path and centres the exit pinholes on its
     central ray.  Other feasible paths of the same total order leave at the
     same exit angle and can pass those pinholes too (from about 600 m/s at
     the defaults), but they are left out of the throughput.
+
+    The walk is best first: the candidates' order depends only on the
+    grating's probabilities and |N|, and is cached on those two, so at each
+    velocity the angles are computed only for the propagating candidates up
+    to the first feasible one.
     """
-    paths = enumerate_paths(setting, particle, grating, v)
+    theta_inc = incidence_for_output(setting, particle, grating, v)
+    step = wavelength_ratio(particle, grating, v)
+    probs = grating.reflection_probabilities
+    ranked, orders = _ranked_combinations(tuple(probs.items()), setting.order_magnitude)
     ratio = device.length_ratio
     width = math.tan(setting.theta_out)  # of every path's band; see feasibility_band
-    feasible = [
-        p
-        for p in paths
-        if p.transmission is not None and p.geometry_ratio < ratio < p.geometry_ratio + width
-    ]
-    if not feasible:
-        raise EmptyTransmissionError(f"no feasible path at v = {v} m/s for l/s = {ratio:.3g}")
-    return max(feasible, key=lambda p: (p.transmission, -abs(p.n1), p.orders))
+    for n1, n2, n3, s1, s2 in _propagating(math.sin(theta_inc), step, ranked, orders):
+        alpha1, alpha2 = math.asin(s1), math.asin(s2)
+        lower = math.tan(alpha1) + math.tan(alpha2)
+        if lower < ratio < lower + width:
+            # From this grating: rates 1 and 1.0 share a cache key but print apart.
+            transmission = probs[abs(n1)] * probs[abs(n2)] * probs[abs(n3)]
+            return DiffractionPath(n1, n2, n3, alpha1, alpha2, lower, transmission)
+    raise EmptyTransmissionError(f"no feasible path at v = {v} m/s for l/s = {ratio:.3g}")
 
 
 def _same_group(ratio: float, ref: float) -> bool:
@@ -304,12 +336,17 @@ def path_census(
     ``GROUP_RTOL``, so each symmetric pair (n1, n2, n3) / (n1 + n2, -n2,
     N - n1), which swaps the two internal angles, forms one group.  They are
     counted from the sorted ratios by :func:`group_paths_by_geometry`'s rule,
-    without building the groups.
+    without building path records or groups.
     """
-    considered = (2 * max_order + 1) ** 2
-    paths = enumerate_paths(setting, particle, grating, v, max_order=max_order)
+    theta_inc = incidence_for_output(setting, particle, grating, v)
+    step = wavelength_ratio(particle, grating, v)
+    combos, orders = _combinations(setting.order_magnitude, max_order)
+    ratios = sorted([
+        math.tan(math.asin(s1)) + math.tan(math.asin(s2))
+        for _, _, _, s1, s2 in _propagating(math.sin(theta_inc), step, combos, orders)
+    ])
     groups, ref = 0, 0.0
-    for ratio in sorted([p.geometry_ratio for p in paths]):
+    for ratio in ratios:
         if not groups or not _same_group(ratio, ref):
             groups, ref = groups + 1, ratio
-    return considered, len(paths), groups
+    return (2 * max_order + 1) ** 2, len(ratios), groups

@@ -758,6 +758,20 @@ class TestInputContract:
             argv.append(f"--order={order}")
         assert entrypoint(argv + ["--config", small_config]) in {0, 2, 3}
 
+    def test_underflowing_mass_times_period_exits_0_2_or_3(self, tmp_path, capsys):
+        # m * a underflows to 0, the divisor of the cutoff velocity and of the
+        # kernels' sine step; both take the quotient as infinite.
+        cfg = tmp_path / "tiny_period.yaml"
+        cfg.write_text("material: {period_angstrom: 1.0e-300,"
+                       " reflection_probabilities: {'0': 0.06, '1': 0.03}}\n")
+        for args in (["simulate"], ["scan"], ["paths", "--v", "1000"],
+                     ["incidence-table", "--orders", "0,1"], ["divergence-table", "--orders", "0,1"]):
+            assert entrypoint([*args, "--config", str(cfg)]) in {0, 2, 3}, args
+            out, err = capsys.readouterr()
+            assert out or err, args
+        assert entrypoint(["simulate", "--config", str(cfg)]) == 3
+        assert capsys.readouterr().err.endswith("(cutoff inf m/s)\n")
+
 
 GOLDEN = Path(__file__).parent / "golden"
 

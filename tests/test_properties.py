@@ -10,7 +10,9 @@ from hypothesis import example, given, settings, strategies as st
 from mwmono import (
     BeamSpec,
     BelowCutoffError,
+    DeviceGeometry,
     DiffractionPath,
+    EmptyTransmissionError,
     EvanescentOrderError,
     GrazingSingularityError,
     Grating,
@@ -22,6 +24,7 @@ from mwmono import (
     de_broglie_wavelength,
     diffraction_angle,
     enumerate_paths,
+    feasibility_band,
     group_paths_by_geometry,
     incidence_for_output,
     path_census,
@@ -178,6 +181,59 @@ def test_census_counts_the_groups_of_the_enumerated_records(theta_out, n, max_or
         assert repr(p) == repr(keyword)
         assert p._asdict() == keyword._asdict()
         assert p.orders == keyword.orders == (p.n1, p.n2, p.n3)
+
+
+def _best_enumerated_path(setting, grating, v, device):
+    """select_path by its definition: the best enumerated record with a rate inside its band."""
+    ratio = device.length_ratio
+    feasible = [p for p in enumerate_paths(setting, HELIUM, grating, v)
+                if p.transmission is not None and feasibility_band(p, setting).contains(ratio)]
+    if not feasible:
+        raise EmptyTransmissionError(f"no feasible path at v = {v} m/s for l/s = {ratio:.3g}")
+    return max(feasible, key=lambda p: (p.transmission, -abs(p.n1), p.orders))
+
+
+def _outcome(select, *args):
+    try:
+        return repr(select(*args))
+    except MonochromatorError as exc:
+        return type(exc), str(exc)
+
+
+probability_maps = st.dictionaries(
+    st.integers(min_value=0, max_value=5),
+    st.sampled_from([1.0, 0.5, 0.25]) | st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+    max_size=6,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@example(theta_out=math.radians(85.0), n=-1, v=1000.0, ratio=10.0,
+         probs=({0: 0.06, 1: 0.03, 2: 0.015}, {}))
+@given(theta_out=st.just(math.radians(85.0))
+       | st.floats(min_value=math.radians(1.0), max_value=GRAZING_THETA_OUT),
+       n=st.sampled_from([0, 1, -1, -2, 3, 10**9, -10**9]),
+       v=st.floats(min_value=5e-324, max_value=1e30) | velocities,
+       ratio=st.just(10.0) | st.floats(min_value=0.01, max_value=100.0),
+       probs=st.tuples(probability_maps, probability_maps))
+def test_select_path_is_the_best_enumerated_feasible_path(theta_out, n, v, ratio, probs):
+    # select_path walks a cached best-first ranking; the two gratings are
+    # queried in turn so that a ranking kept from the other one would show.
+    setting = MonochromatorSetting(theta_out=theta_out, total_order=n)
+    device = DeviceGeometry(separation=1.0, length=ratio)
+    gratings = [Grating(period=GRATING.period, reflection_probabilities=p) for p in probs]
+    for grating in gratings + gratings:
+        assert (_outcome(select_path, setting, HELIUM, grating, v, device)
+                == _outcome(_best_enumerated_path, setting, grating, v, device))
+
+
+def test_select_path_is_the_best_enumerated_feasible_path_over_the_default_sweep():
+    cfg = RunConfig.from_dict({})
+    setting, grating, device = cfg.setting(), cfg.grating(), cfg.device()
+    assert cfg.particle() == HELIUM
+    for v in range(300, 5001):
+        assert (_outcome(select_path, setting, HELIUM, grating, float(v), device)
+                == _outcome(_best_enumerated_path, setting, grating, float(v), device))
 
 
 diameters = st.floats(min_value=-12.0, max_value=3.0).map(lambda e: 10.0 ** e)
