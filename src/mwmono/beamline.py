@@ -223,7 +223,8 @@ def _fwhm(x: np.ndarray, w: np.ndarray) -> float:
         right = x[-1]
     if right > left:
         return right - left
-    # Single populated bin: resolution-limited width.
+    # One populated bin interpolates to one bin width above; the crossings meet only when
+    # rounding merges them, as for a bin between neighbours one ulp away: take one bin.
     return float(x[1] - x[0])
 
 

@@ -19,7 +19,7 @@ import math
 import sys
 
 from . import __version__
-from .config import DEFAULT_CONFIG, RunConfig, _merge, dump_default_config, read_config
+from .config import DEFAULT_CONFIG, RunConfig, dump_default_config, read_config
 from .diffraction import (
     MonochromatorSetting,
     _MAX_ORDER,
@@ -178,8 +178,8 @@ def paths_cmd(cfg, out, fmt, velocity):
     try:
         paths = enumerate_paths(setting, p, g, velocity)
     except BelowCutoffError:
-        _emit(_table_text(fmt, _PATH_HEADER, []), out)
-        raise SystemExit(EXIT_INFEASIBLE)
+        _emit(_table_text(fmt, _PATH_HEADER, []), out)  # the header alone, then the reason
+        raise
     rows = []
     for group_id, group in enumerate(group_paths_by_geometry(paths), 1):
         for path in group.members:
@@ -300,7 +300,7 @@ def entrypoint(argv=None) -> int:
                 node = node.setdefault(section, {})
             node[last] = kwargs.pop(key)
         config = kwargs.pop("config")
-        cfg = RunConfig.from_dict(_merge(read_config(config) if config else {}, overrides))
+        cfg = RunConfig.from_dict(read_config(config) if config else {}, overrides)
         if "v_step" in kwargs:
             kwargs["velocities"] = _velocity_grid(
                 kwargs.pop("v_min"), kwargs.pop("v_max"), kwargs.pop("v_step"))

@@ -136,14 +136,18 @@ class RunConfig:
     data: dict
 
     @classmethod
-    def from_dict(cls, raw: dict) -> "RunConfig":
-        """Merge ``raw`` over the defaults, check its shape, then build every domain object.
+    def from_dict(cls, *layers: dict) -> "RunConfig":
+        """Merge ``layers`` over the defaults in turn, checking the shape after each, so a
+        later layer (the flags) cannot hide a mistyped section of an earlier one (the file);
+        then build every domain object.
 
         The beam is checked for its width alone: a scan takes each centre from its grid,
         so the configured centre is checked where :meth:`beam` builds the beam.
         """
-        merged = _merge(DEFAULT_CONFIG, raw or {})
-        _check_shape(merged, DEFAULT_CONFIG)
+        merged = dict(DEFAULT_CONFIG)
+        for layer in layers:
+            merged = _merge(merged, layer or {})
+            _check_shape(merged, DEFAULT_CONFIG)
         cfg = cls(data=merged)
         for section, build in [
             ("particle", cfg.particle), ("material", cfg.grating), ("setting", cfg.setting),

@@ -136,12 +136,7 @@ class DiffractionPath(NamedTuple):
     """One realizable (n1, n2, n3) bounce sequence at a given velocity.
 
     ``transmission`` is None when the grating has no reflection probability
-    for one of the orders involved.  A named tuple: immutable and hashable,
-    and several times cheaper to build than a frozen dataclass.
-    :func:`enumerate_paths` builds its records with ``tuple.__new__``, which
-    is what the generated ``__new__`` does, without its Python frame.
-    :func:`select_path` builds only the record it returns, and
-    :func:`path_census` builds none.
+    for one of the orders involved.  A named tuple: immutable and hashable.
     """
 
     n1: int
@@ -182,14 +177,26 @@ def _combinations(total: int, max_order: int):
     return combos, tuple({n for combo in combos for n in combo})
 
 
-def _propagating(sin_inc: float, step: float, combos, orders):
-    """Yield (n1, n2, n3, s1, s2) for each of ``combos``, in order, whose three bounces propagate.
+def _transmission(probs: dict, n1: int, n2: int, n3: int) -> float | None:
+    """Product of the reflection probabilities ``probs`` (keyed by |order|) of the three
+    orders, or None when one is missing."""
+    p1, p2, p3 = probs.get(abs(n1)), probs.get(abs(n2)), probs.get(abs(n3))
+    return None if p1 is None or p2 is None or p3 is None else p1 * p2 * p3
 
-    s1 and s2 are the sines after the first and second bounce; order n shifts the sine by
-    n * step.  ``orders`` holds every order in ``combos``.  The specular shift is 0.0, not
-    0 * step, which is nan once the momentum underflows and the step is inf.  A sine is
-    rejected by ``abs(s) > 1.0``, so NaN passes.
+
+def _propagating(setting, particle, grating, v, combos, orders):
+    """Yield (n1, n2, n3, alpha1, alpha2, d/s) for each of ``combos``, in order, whose three
+    bounces propagate at velocity v.
+
+    The incidence angle and the order step are solved when the first item is drawn, so
+    their errors come before any result.  Order n shifts the sine by n * step; ``orders``
+    holds every order in ``combos``.  The specular shift is 0.0, not 0 * step, which is nan
+    once the momentum underflows and the step is inf.  A sine is rejected by
+    ``abs(s) > 1.0``, so NaN passes.
     """
+    theta_inc = incidence_for_output(setting, particle, grating, v)
+    step = wavelength_ratio(particle, grating, v)
+    sin_inc = math.sin(theta_inc)
     shift = {n: n * step if n else 0.0 for n in orders}
     for n1, n2, n3 in combos:
         s1 = sin_inc + shift[n1]
@@ -198,7 +205,8 @@ def _propagating(sin_inc: float, step: float, combos, orders):
         s2 = s1 + shift[n2]
         if abs(s2) > 1.0 or abs(s2 + shift[n3]) > 1.0:
             continue
-        yield n1, n2, n3, s1, s2
+        alpha1, alpha2 = math.asin(s1), math.asin(s2)
+        yield n1, n2, n3, alpha1, alpha2, math.tan(alpha1) + math.tan(alpha2)
 
 
 def enumerate_paths(
@@ -214,20 +222,11 @@ def enumerate_paths(
     conservation.  A combination survives when both internal diffraction
     angles exist (no evanescent order).  An empty list is a valid result.
     """
-    theta_inc = incidence_for_output(setting, particle, grating, v)
-    step = wavelength_ratio(particle, grating, v)
-    combos, orders = _combinations(setting.order_magnitude, max_order)
+    survivors = _propagating(setting, particle, grating, v,
+                             *_combinations(setting.order_magnitude, max_order))
     probs = grating.reflection_probabilities
-    prob = {n: probs.get(abs(n)) for n in orders}
-    paths = []
-    for n1, n2, n3, s1, s2 in _propagating(math.sin(theta_inc), step, combos, orders):
-        alpha1, alpha2 = math.asin(s1), math.asin(s2)
-        p1, p2, p3 = prob[n1], prob[n2], prob[n3]
-        paths.append(tuple.__new__(DiffractionPath, (
-            n1, n2, n3, alpha1, alpha2, math.tan(alpha1) + math.tan(alpha2),
-            None if p1 is None or p2 is None or p3 is None else p1 * p2 * p3,
-        )))
-    return paths
+    return [DiffractionPath(n1, n2, n3, alpha1, alpha2, ratio, _transmission(probs, n1, n2, n3))
+            for n1, n2, n3, alpha1, alpha2, ratio in survivors]
 
 
 def feasibility_band(path: DiffractionPath, setting: MonochromatorSetting) -> FeasibilityBand:
@@ -247,9 +246,9 @@ def _ranked_combinations(probabilities: tuple[tuple[int, float], ...], total: in
     probs = dict(probabilities)
     keys = {}
     for combo in _combinations(total, 2)[0]:
-        p1, p2, p3 = (probs.get(abs(n)) for n in combo)
-        if p1 is not None and p2 is not None and p3 is not None:
-            keys[combo] = (p1 * p2 * p3, -abs(combo[0]), combo)
+        transmission = _transmission(probs, *combo)
+        if transmission is not None:
+            keys[combo] = (transmission, -abs(combo[0]), combo)
     ranked = tuple(sorted(keys, key=keys.__getitem__, reverse=True))
     return ranked, tuple({n for combo in ranked for n in combo})
 
@@ -276,18 +275,15 @@ def select_path(
     velocity the angles are computed only for the propagating candidates up
     to the first feasible one.
     """
-    theta_inc = incidence_for_output(setting, particle, grating, v)
-    step = wavelength_ratio(particle, grating, v)
     probs = grating.reflection_probabilities
     ranked, orders = _ranked_combinations(tuple(probs.items()), setting.order_magnitude)
     ratio = device.length_ratio
     width = math.tan(setting.theta_out)  # of every path's band; see feasibility_band
-    for n1, n2, n3, s1, s2 in _propagating(math.sin(theta_inc), step, ranked, orders):
-        alpha1, alpha2 = math.asin(s1), math.asin(s2)
-        lower = math.tan(alpha1) + math.tan(alpha2)
+    for n1, n2, n3, alpha1, alpha2, lower in _propagating(
+            setting, particle, grating, v, ranked, orders):
         if lower < ratio < lower + width:
             # From this grating: rates 1 and 1.0 share a cache key but print apart.
-            transmission = probs[abs(n1)] * probs[abs(n2)] * probs[abs(n3)]
+            transmission = _transmission(probs, n1, n2, n3)
             return DiffractionPath(n1, n2, n3, alpha1, alpha2, lower, transmission)
     raise EmptyTransmissionError(f"no feasible path at v = {v} m/s for l/s = {ratio:.3g}")
 
@@ -338,13 +334,9 @@ def path_census(
     counted from the sorted ratios by :func:`group_paths_by_geometry`'s rule,
     without building path records or groups.
     """
-    theta_inc = incidence_for_output(setting, particle, grating, v)
-    step = wavelength_ratio(particle, grating, v)
-    combos, orders = _combinations(setting.order_magnitude, max_order)
-    ratios = sorted([
-        math.tan(math.asin(s1)) + math.tan(math.asin(s2))
-        for _, _, _, s1, s2 in _propagating(math.sin(theta_inc), step, combos, orders)
-    ])
+    survivors = _propagating(setting, particle, grating, v,
+                             *_combinations(setting.order_magnitude, max_order))
+    ratios = sorted([path[5] for path in survivors])  # each survivor's d/s
     groups, ref = 0, 0.0
     for ratio in ratios:
         if not groups or not _same_group(ratio, ref):

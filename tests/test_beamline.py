@@ -8,6 +8,7 @@ from mwmono import (
     BeamSpec,
     Beamline,
     ConfigurationError,
+    DiffractionPath,
     EmptyTransmissionError,
     Pinhole,
     RunConfig,
@@ -181,6 +182,13 @@ class TestSimulateBeam:
         assert np.array_equal(a.weights, b.weights)
         assert a.speed_ratio == b.speed_ratio
 
+    def test_path_without_transmission_is_a_config_error(self, objs):
+        helium, grating, beamline = objs
+        path = DiffractionPath(0, 0, -1, 0.1, 0.1, 0.2, None)
+        with pytest.raises(ConfigurationError) as info:
+            simulate_beam(BeamSpec(1000.0), beamline, helium, grating, path=path)
+        assert str(info.value) == "path (0, 0, -1) has no transmission rate for this grating"
+
     @pytest.mark.parametrize("center, width", [(1e160, 1e159)])
     def test_std_is_finite_at_extreme_widths(self, center, width):
         # Far above 1e154 m/s the squared deviations would overflow.
@@ -218,6 +226,12 @@ class TestBaseline:
         base = single_reflection_baseline(spec, beamline, helium, grating, order=0)
         assert base.speed_ratio == pytest.approx(spec.speed_ratio, rel=1e-9)
         assert base.delta_v == pytest.approx(spec.full_width, rel=1e-9)
+
+    def test_order_without_probability_is_a_config_error(self, objs):
+        helium, grating, beamline = objs
+        with pytest.raises(ConfigurationError) as info:
+            single_reflection_baseline(BeamSpec(5000.0), beamline, helium, grating, order=-3)
+        assert str(info.value) == "no reflection probability for |order| = 3"
 
 
 class TestScan:
@@ -258,6 +272,13 @@ class TestScan:
         finals = [r.final_ratio for r in rows]
         assert all(f is not None for f in finals)
         assert all(a > b for a, b in zip(finals, finals[1:]))
+
+    def test_nonpositive_width_raises(self, objs):
+        # A width no centre can take is the caller's error, not a flag on every row.
+        helium, grating, beamline = objs
+        with pytest.raises(ValueError) as info:
+            scan_speed_ratio([1000.0], 0.0, beamline, helium, grating)
+        assert str(info.value) == "full_width must be positive, got 0.0"
 
 
 class TestBeamSpec:

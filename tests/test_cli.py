@@ -17,7 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import mwmono
 from mwmono import RunConfig, velocity_divergence, incidence_for_output
-from mwmono.cli import _COMMANDS, _velocity_grid, entrypoint
+from mwmono.cli import _COMMANDS, _PATH_HEADER, _velocity_grid, entrypoint
 from mwmono.config import DEFAULT_CONFIG, _merge
 from mwmono.geometry import (
     BASELINE_ORDER, BASELINE_THETA_INC, MAX_OFFSET_SAMPLES, MAX_VELOCITY_BINS,
@@ -61,6 +61,35 @@ class TestConfig:
         cfg.write_text("beam:\n  v_center_mps: -5\n")
         code = entrypoint(["simulate", "--config", str(cfg)])
         assert code == 2
+
+    def test_empty_file_is_the_defaults(self, tmp_path):
+        cfg = tmp_path / "empty.yaml"
+        cfg.write_text("")
+        result = invoke(["simulate", "--config", str(cfg)])
+        assert result.exit_code == 0
+        assert result.stdout_bytes == invoke(["simulate"]).stdout_bytes
+
+    def test_file_holding_a_list_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "list.yaml"
+        cfg.write_text("- 1\n- 2\n")
+        assert entrypoint(["simulate", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"config error: config {cfg} must be a mapping\n"
+
+    @pytest.mark.parametrize("text, command, flags, section, got", [
+        ("setting: 5", ["paths", "--v", "1000"], ["--theta-out-deg", "80"], "setting", "5"),
+        ("beam: [1, 2]", ["simulate"], ["--v-center", "2000", "--v-width", "100"], "beam",
+         "[1, 2]"),
+    ])
+    def test_flags_do_not_hide_a_mistyped_section(self, tmp_path, capsys, text, command, flags,
+                                                  section, got):
+        # The file is checked before the flags are merged over it.
+        cfg = tmp_path / "typo.yaml"
+        cfg.write_text(text + "\n")
+        for extra in ([], flags):
+            assert entrypoint([*command, "--config", str(cfg), *extra]) == 2
+            assert capsys.readouterr() == (
+                "", f"config error: invalid config at {section}: expected a mapping, got {got}\n"
+            )
 
     def test_unknown_preset_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "preset.yaml"
@@ -298,8 +327,13 @@ class TestPaths:
         # Paths beyond the grating's tabulated orders carry no rate.
         assert by_orders[(-2, -2, 5)][8] == ""
 
-    def test_below_cutoff_exits_3(self):
+    def test_below_cutoff_exits_3(self, capsys):
         assert entrypoint(["paths", "--v", "250"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ",".join(_PATH_HEADER) + "\n"
+        assert err == (
+            "infeasible: velocity 250.0 m/s below cutoff for |order| = 1 (cutoff 295.8 m/s)\n"
+        )
 
     def test_json_format(self):
         result = invoke(["paths", "--v", "1000", "--format", "json"])

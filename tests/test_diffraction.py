@@ -88,6 +88,11 @@ class TestDiffractionAngle:
         theta = diffraction_angle(0.5, 1, helium, grating, 800.0)
         assert -math.pi / 2 < theta < math.pi / 2
 
+    def test_specular_rejects_nonpositive_velocity(self, helium, grating):
+        with pytest.raises(ValueError) as info:
+            diffraction_angle(0.5, 0, helium, grating, 0.0)
+        assert str(info.value) == "velocity must be positive, got 0.0"
+
 
 class TestVelocityDivergence:
     def test_zeroth_order_is_zero(self, helium, grating):
@@ -178,6 +183,9 @@ class TestIncidenceForOutput:
             f"velocity {v} m/s below cutoff for |order| = 1 (cutoff 295.8 m/s)"
         )
 
+    def test_zero_order_has_no_cutoff(self, helium, grating):
+        assert cutoff_velocity(MonochromatorSetting(total_order=0), helium, grating) == 0.0
+
     def test_monotone_in_velocity(self, helium, grating):
         for n in (1, 2, 3):
             setting = MonochromatorSetting(total_order=n)
@@ -220,3 +228,8 @@ class TestGratingValidation:
             Grating(period=1e-10, reflection_probabilities={0: 1.5})
         with pytest.raises(ValueError):
             Grating(period=-1e-10)
+
+    def test_rejects_signed_order_keys(self):
+        with pytest.raises(ValueError) as info:
+            Grating(3e-10, {-1: 0.1})
+        assert str(info.value) == "probabilities are keyed by |order|, got -1"
