@@ -37,6 +37,20 @@ column within a few ulps of an edge, where the rounded cell value and the
 edge rounded into column space may fall on opposite sides.  Property tests
 check equality with the every-cell count and with ``trace_velocity`` at every
 offset; the README grids and the tests' ranges never met such a column.
+
+Only the rows the exit pinholes can pass are traced (:func:`_traced_rows`).
+Every passing ray leaves within a reach of the reference exit point (the
+plate length l in the device, where both exit points lie on [0, l]; the
+source radius over cos(theta_inc) in the baseline), so each pinhole farther
+than that reach times |sin(theta_ref)| bounds |tan(rel)| of a passing row,
+and so its exit sine to an interval.  The exit sine is computed for every
+row, with the same operations the rows use, and the traced rows run from the
+first to the last row whose sine lies in that interval, one more row on each
+side, plus the reference row.  Every length, the angle bound and the sine
+interval are widened far beyond rounding, and every row is traced when no
+pinhole gives a bound or when a row exiting opposite the reference (rel near
++-pi) could pass.  So the rows left out count 0 on every cell as well, and
+every count, sum and output is that of tracing every row.
 """
 
 from __future__ import annotations
@@ -95,27 +109,32 @@ class BeamlineResult:
         }
 
 
-def _exit_rows(theta_inc, orders, particle, grating, v):
-    """Angle after each bounce of ``orders`` for every velocity in ``v``, and which rows propagate.
+def _exit_sines(theta_inc, orders, particle, grating, v):
+    """sin(angle) after each bounce of ``orders`` for every velocity in ``v``.
 
-    Each order shifts sin(theta) by lambda/period = 2 pi hbar / (m a) / v; evanescent rows get
-    clipped angles.  A step that overflows (subnormal v, or m * a underflowing to 0; 0 * inf
-    is NaN) is evanescent.
+    Each order shifts the sine by lambda/period = 2 pi hbar / (m a) / v.  A step that overflows
+    (subnormal v, or m * a underflowing to 0; 0 * inf is NaN) gives a sine no row passes.
     """
     mass_period = particle.mass * grating.period
     step = (2.0 * math.pi * HBAR / mass_period if mass_period else math.inf) / v
-    angles, sine, valid = [], math.sin(theta_inc), True
+    sines, sine = [], math.sin(theta_inc)
     for n in orders:
         sine = sine + n * step
-        valid &= np.abs(sine) <= 1.0
-        angles.append(np.arcsin(np.clip(sine, -1.0, 1.0)))
-    return angles, valid
+        sines.append(sine)
+    return sines
 
 
-def _device_rows(theta_inc, path, device, particle, grating, v, x1):
-    """Rises s * tan(angle) of the three bounces, exit angle and validity per velocity,
-    and the ray entering at ``x1`` on the last velocity (None when a cut blocks it)."""
-    angles, valid = _exit_rows(theta_inc, path.orders, particle, grating, v)
+def _exit_rows(sines):
+    """Angle after each bounce of the per-bounce ``sines`` of :func:`_exit_sines`, and which
+    rows propagate; evanescent rows get clipped angles."""
+    valid = np.logical_and.reduce([np.abs(sine) <= 1.0 for sine in sines])
+    return [np.arcsin(np.clip(sine, -1.0, 1.0)) for sine in sines], valid
+
+
+def _device_rows(sines, device, x1):
+    """Rises s * tan(angle) of the three bounces of ``sines``, exit angle and validity per
+    velocity, and the ray entering at ``x1`` on the last velocity (None when a cut blocks it)."""
+    angles, valid = _exit_rows(sines)
     rises = [device.separation * np.tan(a) for a in angles]
     x2 = x1 + rises[0][-1]
     x3 = x2 + rises[1][-1]
@@ -148,8 +167,8 @@ def trace_velocity(
     x1 = entry_window / 2 + offset / math.cos(theta_inc)
     if entry_window <= 0 or not 0.0 <= x1 <= entry_window:
         return None
-    return _device_rows(theta_inc, path, device, particle, grating, np.array([v], dtype=float),
-                        x1)[-1]
+    sines = _exit_sines(theta_inc, path.orders, particle, grating, np.array([v], dtype=float))
+    return _device_rows(sines, device, x1)[-1]
 
 
 def _pinhole_bounds(theta_exit, theta_ref, pinholes):
@@ -175,6 +194,46 @@ def _pinhole_bounds(theta_exit, theta_ref, pinholes):
         lo = np.maximum(lo, np.where(flat, flat_lo, np.minimum(a, b)))
         hi = np.minimum(hi, np.where(flat, np.inf, np.maximum(a, b)))
     return lo, hi
+
+
+#: Relative and absolute slack of :func:`_traced_rows`, far above the rounding of the cuts.
+_ROWS_RTOL = 1e-9
+_ROWS_ATOL = 1e-12
+
+
+def _traced_rows(exit_sine, reach, pinholes):
+    """Index of the rows that can pass every pinhole: one contiguous run of rows, and the last
+    (reference) row.
+
+    ``exit_sine`` is each row's exit sine, monotone in the velocity, with the reference row
+    last; every passing ray leaves within ``reach`` of the reference exit point.  A row
+    passes pinhole k only if ``|dx * slope + L_k * tan(rel)| <= d_k / 2`` for some
+    ``|dx| <= reach`` (see :func:`_pinhole_bounds`), and ``|slope| <= |cos(theta_ref)| +
+    |sin(theta_ref)| * |tan(rel)|``, so ``|tan(rel)| <= (d_k / 2 + reach * |cos(theta_ref)|)
+    / (L_k - reach * |sin(theta_ref)|)`` wherever that divisor is positive.  With every
+    length widened by ``_ROWS_RTOL`` and the angle and the sines by ``_ROWS_ATOL``, this
+    keeps the exit angle near theta_ref, so the exit sine in an interval, unless rel can
+    come near +-pi, which takes ``|theta_ref| >= pi/2 - atan(bound)``.  Every row is
+    traced when no pinhole bounds rel, or when rel can come near +-pi.
+    """
+    last = exit_sine.size - 1
+    theta_ref = math.asin(exit_sine[-1]) if abs(exit_sine[-1]) <= 1.0 else math.nan
+    cos_ref, sin_ref = abs(math.cos(theta_ref)), abs(math.sin(theta_ref))
+    reach *= 1.0 + _ROWS_RTOL
+    bound = math.inf
+    for ph in pinholes:
+        divisor = ph.distance * (1.0 - _ROWS_RTOL) - reach * sin_ref
+        if divisor > 0.0:
+            bound = min(bound, (ph.diameter / 2 * (1.0 + _ROWS_RTOL) + reach * cos_ref) / divisor)
+    half = math.atan(bound) + _ROWS_ATOL  # the widest |rel| of a passing row
+    if not abs(theta_ref) + half < math.pi / 2:
+        return np.arange(last + 1)
+    lo = math.sin(theta_ref - half) - _ROWS_ATOL
+    hi = math.sin(theta_ref + half) + _ROWS_ATOL
+    inside = np.flatnonzero((exit_sine[:-1] >= lo) & (exit_sine[:-1] <= hi))
+    if not inside.size:
+        return np.array([last])
+    return np.append(np.arange(max(inside[0] - 1, 0), min(inside[-1] + 2, last)), last)
 
 
 def _row_counts(valid, x, lo, hi, gap=None):
@@ -274,8 +333,10 @@ def _beam_counts(spec, beamline, particle, grating, path, velocity_bins, offset_
         raise EmptyTransmissionError("entry window closed at this incidence angle")
 
     # One extra row at the centre velocity holds the reference ray through the axis.
+    sines = _exit_sines(theta_inc, path.orders, particle, grating, np.append(velocities, vbar))
+    rows = _traced_rows(sines[-1], length, beamline.exit_pinholes)
     (rise1, rise2, rise3), theta_exit, valid, central = _device_rows(
-        theta_inc, path, device, particle, grating, np.append(velocities, vbar), entry_window / 2
+        [sine[rows] for sine in sines], device, entry_window / 2
     )
 
     # The entry window depends on the offset alone: keep the columns in front.
@@ -294,7 +355,8 @@ def _beam_counts(spec, beamline, particle, grating, path, velocity_bins, offset_
     lo = np.maximum.reduce([-rise1, -rise12, lo + shift])
     hi = np.minimum.reduce([length - rise1, length - rise12, hi + shift])
     rise = rise12 + rise3
-    counts = _row_counts(valid, x1, lo, hi, gap=(-rise, length - rise))[:-1]
+    counts = np.zeros(velocity_bins, dtype=np.intp)
+    counts[rows[:-1]] = _row_counts(valid, x1, lo, hi, gap=(-rise, length - rise))[:-1]
     return velocities, counts, path.transmission
 
 
@@ -327,19 +389,23 @@ def _baseline_counts(spec, beamline, particle, grating, theta_inc, order,
     velocities, offsets = _axes(spec, beamline, velocity_bins, offset_samples)
 
     # The last row, at the centre velocity, is the reference ray.
-    (theta_exit,), valid = _exit_rows(
-        theta_inc, (order,), particle, grating, np.append(velocities, spec.center_velocity)
-    )
+    (sine,) = _exit_sines(theta_inc, (order,), particle, grating,
+                          np.append(velocities, spec.center_velocity))
+    cos_inc = math.cos(theta_inc)
+    rows = _traced_rows(sine, beamline.source_diameter / 2 / abs(cos_inc), beamline.exit_pinholes)
+    (theta_exit,), valid = _exit_rows([sine[rows]])
     if not valid[-1]:
         raise EmptyTransmissionError("baseline centre velocity evanescent")
 
-    dx = offsets / math.cos(theta_inc)  # reflection point along the plate
+    dx = offsets / cos_inc  # reflection point along the plate
     prob = grating.reflection_probabilities.get(abs(order))
     if prob is None:
         raise ConfigurationError(f"no reflection probability for |order| = {abs(order)}")
 
     lo, hi = _pinhole_bounds(theta_exit, theta_exit[-1], beamline.exit_pinholes)
-    return velocities, _row_counts(valid, dx, lo, hi)[:-1], prob
+    counts = np.zeros(velocity_bins, dtype=np.intp)
+    counts[rows[:-1]] = _row_counts(valid, dx, lo, hi)[:-1]
+    return velocities, counts, prob
 
 
 def single_reflection_baseline(

@@ -12,6 +12,7 @@ byte-stable for identical configs.
 from __future__ import annotations
 
 import argparse
+import collections
 import csv
 import io
 import json
@@ -68,6 +69,13 @@ def _table_text(fmt: str, header: list[str], rows: list[list]) -> str:
     if fmt == "json":
         return _json_text([dict(zip(header, row)) for row in rows])
     return _csv_text(header, rows)
+
+
+def _no_result(what: str, labels) -> MonochromatorError:
+    """The error of a table or scan none of whose rows succeeded: ``what``, then how many
+    rows carry each of the flags or statuses ``labels``, in order of appearance."""
+    counts = ", ".join(f"{n} {label}" for label, n in collections.Counter(labels).items())
+    return MonochromatorError(f"{what} ({counts})")
 
 
 #: Most velocities one table or scan may list.
@@ -155,7 +163,7 @@ def _order_table(name, column, value, doc):
                     rows.append([v, n, None, type(exc).__name__])
         _emit(_table_text(fmt, ["velocity_mps", "order", column, "status"], rows), out)
         if all(row[3] != "ok" for row in rows):
-            raise SystemExit(EXIT_INFEASIBLE)
+            raise _no_result("no row ok", (row[3] for row in rows))
 
     table.__doc__ = doc
     _command(name, "--format", "--orders", "--v-min", "--v-max", "--v-step")(table)
@@ -235,7 +243,7 @@ def scan_cmd(cfg, out, fmt, velocities):
              for r in rows_out]
     _emit(_table_text(fmt, header, table), out)
     if all(r.final_ratio is None for r in rows_out):
-        raise SystemExit(EXIT_INFEASIBLE)
+        raise _no_result("no centre simulated", (r.flag for r in rows_out))
 
 
 class _UsageError(Exception):

@@ -17,9 +17,10 @@ path or building and validating a config never loads the numpy kernels of
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import NamedTuple
 
 from .diffraction import (
@@ -168,13 +169,20 @@ class FeasibilityBand:
         return self.lower < ratio < self.upper
 
 
+def _runs(combos):
+    """``combos``, (n1, n2, n3) triples, as runs of equal n1 in the same order:
+    ((n1, ((n2, n3), ...)), ...), and their distinct orders."""
+    runs = tuple((n1, tuple((n2, n3) for _, n2, n3 in run))
+                 for n1, run in itertools.groupby(combos, itemgetter(0)))
+    return runs, tuple({n for combo in combos for n in combo})
+
+
 @functools.lru_cache(maxsize=64)
 def _combinations(total: int, max_order: int):
-    """(n1, n2, n3) combinations for (n1, n2) in [-max_order, max_order], n1 first, and their
-    distinct orders; n3 = total - n1 - n2 by order conservation."""
+    """(n1, n2, n3) combinations for (n1, n2) in [-max_order, max_order], n1 first, as
+    :func:`_runs`; n3 = total - n1 - n2 by order conservation."""
     internal = range(-max_order, max_order + 1)
-    combos = tuple((n1, n2, total - n1 - n2) for n1 in internal for n2 in internal)
-    return combos, tuple({n for combo in combos for n in combo})
+    return _runs([(n1, n2, total - n1 - n2) for n1 in internal for n2 in internal])
 
 
 def _transmission(probs: dict, n1: int, n2: int, n3: int) -> float | None:
@@ -184,29 +192,34 @@ def _transmission(probs: dict, n1: int, n2: int, n3: int) -> float | None:
     return None if p1 is None or p2 is None or p3 is None else p1 * p2 * p3
 
 
-def _propagating(setting, particle, grating, v, combos, orders):
-    """Yield (n1, n2, n3, alpha1, alpha2, d/s) for each of ``combos``, in order, whose three
-    bounces propagate at velocity v.
+def _propagating(setting, particle, grating, v, runs, orders):
+    """Yield (n1, n2, n3, alpha1, alpha2, d/s) for each combination of ``runs``, in order,
+    whose three bounces propagate at velocity v.
 
-    The incidence angle and the order step are solved when the first item is drawn, so
-    their errors come before any result.  Order n shifts the sine by n * step; ``orders``
-    holds every order in ``combos``.  The specular shift is 0.0, not 0 * step, which is nan
-    once the momentum underflows and the step is inf.  A sine is rejected by
+    ``runs`` holds the combinations as runs of equal n1, ((n1, ((n2, n3), ...)), ...) (see
+    :func:`_runs`), so that the first bounce's sine, angle and tangent are computed once per
+    run.  The incidence angle and the order step are solved when the first item is drawn,
+    so their errors come before any result.  Order n shifts the sine by n * step;
+    ``orders`` holds every order in ``runs``.  The specular shift is 0.0, not 0 * step,
+    which is nan once the momentum underflows and the step is inf.  A sine is rejected by
     ``abs(s) > 1.0``, so NaN passes.
     """
     theta_inc = incidence_for_output(setting, particle, grating, v)
     step = wavelength_ratio(particle, grating, v)
     sin_inc = math.sin(theta_inc)
     shift = {n: n * step if n else 0.0 for n in orders}
-    for n1, n2, n3 in combos:
+    for n1, rest in runs:
         s1 = sin_inc + shift[n1]
         if abs(s1) > 1.0:
             continue
-        s2 = s1 + shift[n2]
-        if abs(s2) > 1.0 or abs(s2 + shift[n3]) > 1.0:
-            continue
-        alpha1, alpha2 = math.asin(s1), math.asin(s2)
-        yield n1, n2, n3, alpha1, alpha2, math.tan(alpha1) + math.tan(alpha2)
+        alpha1 = math.asin(s1)
+        tan1 = math.tan(alpha1)
+        for n2, n3 in rest:
+            s2 = s1 + shift[n2]
+            if abs(s2) > 1.0 or abs(s2 + shift[n3]) > 1.0:
+                continue
+            alpha2 = math.asin(s2)
+            yield n1, n2, n3, alpha1, alpha2, tan1 + math.tan(alpha2)
 
 
 def enumerate_paths(
@@ -237,7 +250,7 @@ def feasibility_band(path: DiffractionPath, setting: MonochromatorSetting) -> Fe
 
 @functools.lru_cache(maxsize=64)
 def _ranked_combinations(probabilities: tuple[tuple[int, float], ...], total: int):
-    """:func:`select_path`'s candidates, best first, and their distinct orders.
+    """:func:`select_path`'s candidates, best first, as :func:`_runs`.
 
     The candidates are the max_order 2 combinations whose three reflection probabilities
     ``probabilities`` (the grating's (|order|, p) items) all define, ordered by
@@ -245,12 +258,12 @@ def _ranked_combinations(probabilities: tuple[tuple[int, float], ...], total: in
     """
     probs = dict(probabilities)
     keys = {}
-    for combo in _combinations(total, 2)[0]:
-        transmission = _transmission(probs, *combo)
-        if transmission is not None:
-            keys[combo] = (transmission, -abs(combo[0]), combo)
-    ranked = tuple(sorted(keys, key=keys.__getitem__, reverse=True))
-    return ranked, tuple({n for combo in ranked for n in combo})
+    for n1, rest in _combinations(total, 2)[0]:
+        for n2, n3 in rest:
+            transmission = _transmission(probs, n1, n2, n3)
+            if transmission is not None:
+                keys[n1, n2, n3] = (transmission, -abs(n1), (n1, n2, n3))
+    return _runs(sorted(keys, key=keys.__getitem__, reverse=True))
 
 
 def select_path(
@@ -288,9 +301,10 @@ def select_path(
     raise EmptyTransmissionError(f"no feasible path at v = {v} m/s for l/s = {ratio:.3g}")
 
 
-def _same_group(ratio: float, ref: float) -> bool:
-    """Whether ``ratio`` joins the group whose first (smallest) ratio is ``ref``."""
-    return abs(ratio - ref) <= GROUP_RTOL * max(1.0, abs(ref))
+def _group_limit(ref: float) -> float:
+    """Largest distance from ``ref``, a group's first (smallest) ratio, at which a ratio
+    joins the group: ``ratio`` joins when ``abs(ratio - ref) <= _group_limit(ref)``."""
+    return GROUP_RTOL * max(1.0, abs(ref))
 
 
 class PathGroup(NamedTuple):
@@ -308,12 +322,12 @@ def group_paths_by_geometry(paths: list[DiffractionPath]) -> list[PathGroup]:
     """
     clusters: list[tuple[float, list[DiffractionPath]]] = []
     for path in sorted(paths, key=attrgetter("geometry_ratio", "n1", "n2", "n3")):
-        if clusters:
-            ref, members = clusters[-1]
-            if _same_group(path.geometry_ratio, ref):
-                members.append(path)
-                continue
-        clusters.append((path.geometry_ratio, [path]))
+        ratio = path.geometry_ratio
+        if clusters and abs(ratio - clusters[-1][0]) <= limit:
+            clusters[-1][1].append(path)
+        else:
+            clusters.append((ratio, [path]))
+            limit = _group_limit(ratio)
     return [PathGroup(ref, tuple(members)) for ref, members in clusters]
 
 
@@ -337,8 +351,8 @@ def path_census(
     survivors = _propagating(setting, particle, grating, v,
                              *_combinations(setting.order_magnitude, max_order))
     ratios = sorted([path[5] for path in survivors])  # each survivor's d/s
-    groups, ref = 0, 0.0
+    groups, ref, limit = 0, 0.0, 0.0
     for ratio in ratios:
-        if not groups or not _same_group(ratio, ref):
-            groups, ref = groups + 1, ratio
+        if not groups or not abs(ratio - ref) <= limit:
+            groups, ref, limit = groups + 1, ratio, _group_limit(ratio)
     return (2 * max_order + 1) ** 2, len(ratios), groups

@@ -752,6 +752,26 @@ class TestInputContract:
     def test_bad_velocity_flags_exit_2(self, args):
         assert entrypoint(args) == 2
 
+    @pytest.mark.parametrize("args, out, err", [
+        (["scan", "--v-min", "100", "--v-max", "200"],
+         "v_center_mps,speed_ratio_in,speed_ratio_out,speed_ratio_baseline,throughput,flag\n"
+         "100.0,0.2,,,,invalid_center\n200.0,0.4,,,,invalid_center\n",
+         "infeasible: no centre simulated (2 invalid_center)\n"),
+        (["incidence-table", "--orders", "1", "--v-min", "100", "--v-max", "200"],
+         "velocity_mps,order,theta_inc_deg,status\n100.0,1,,below_cutoff\n200.0,1,,below_cutoff\n",
+         "infeasible: no row ok (2 below_cutoff)\n"),
+        (["divergence-table", "--orders", "1,2", "--v-min", "100", "--v-max", "1000",
+          "--v-step", "900", "--theta-out-deg", "89.9999999"],
+         "velocity_mps,order,dtheta_dv_rad_per_mps,status\n100.0,1,,below_cutoff\n"
+         "1000.0,1,,GrazingSingularityError\n100.0,2,,below_cutoff\n"
+         "1000.0,2,,GrazingSingularityError\n",
+         "infeasible: no row ok (2 below_cutoff, 2 GrazingSingularityError)\n"),
+    ])
+    def test_tables_with_no_result_say_why(self, capsys, args, out, err):
+        # The whole table is printed, then one line counts the rows by flag or status.
+        assert entrypoint(args) == 3
+        assert capsys.readouterr() == (out, err)
+
     def test_scan_flags_invalid_centres(self, small_config):
         result = invoke([
             "scan", "--config", small_config, "--v-min", "100", "--v-max", "300",

@@ -14,7 +14,7 @@ from mwmono import (
     incidence_for_output,
     path_census,
 )
-from mwmono.geometry import GROUP_RTOL, _same_group
+from mwmono.geometry import GROUP_RTOL, _group_limit
 
 
 def make_path(n1, n2, n3, alpha1=0.3, alpha2=0.4, transmission=1e-4):
@@ -162,8 +162,8 @@ class TestGrouping:
         # float beyond starts a new group.
         assert at - ref == GROUP_RTOL * max(1.0, abs(ref))  # exact, no rounding
         beyond = math.nextafter(at, math.inf)
-        assert _same_group(at, ref)
-        assert not _same_group(beyond, ref)
+        assert abs(at - ref) <= _group_limit(ref)
+        assert not abs(beyond - ref) <= _group_limit(ref)
         base = make_path(0, 0, 1)
         for ratio, groups in ((at, 1), (beyond, 2)):
             paths = [base._replace(geometry_ratio=r) for r in (ratio, ref)]

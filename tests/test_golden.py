@@ -36,6 +36,8 @@ README_SCAN = ["scan", "--v-min", "300", "--v-max", "5000", "--v-step", "100"]
     # 4001 x 401 grid where the 2 mm exit pinhole at 300 mm is the tightest.
     (["simulate", "--config", str(GOLDEN / "tight_pinhole.yaml")],
      "simulate_tight_pinhole.json"),
+    # The same grid at every README centre: pins the kernels' traced rows.
+    (README_SCAN + ["--config", str(GOLDEN / "tight_pinhole.yaml")], "scan_tight_pinhole.csv"),
 ])
 def test_cli_output_matches_golden(capsysbinary, args, name):
     assert entrypoint(args) == 0

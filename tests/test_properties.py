@@ -39,6 +39,7 @@ from mwmono.beamline import (
     _beam_counts,
     _pinhole_bounds,
     _row_counts,
+    _traced_rows,
 )
 from mwmono.diffraction import HBAR
 
@@ -321,6 +322,53 @@ def test_row_counts_match_every_cell(v, nv, nu, source, exits, theta_out_deg, le
         assert np.array_equal(counts, _every_cell_counts(spec, bl, p, g, nv, nu, device))
 
 
+distances = st.floats(min_value=-3.0, max_value=math.log10(2.0)).map(lambda e: 10.0 ** e)
+
+
+@settings(max_examples=150, deadline=None)
+# Rows are left out wrongly when rel near +-pi is not allowed for (the first
+# example), when the device's exit points or the baseline's source width are
+# not allowed for (the second and third).
+@example(v=300.0, nv=3, nu=3, source=1.0, exits=[(1.0, 1.0)], theta_out_deg=80.0,
+         length_mm=5.0)
+@example(v=2137.0, nv=84, nu=4, source=0.01, exits=[(0.01, 1.0)], theta_out_deg=61.0,
+         length_mm=14.0)
+@example(v=1000.0, nv=300, nu=60, source=1e-3, exits=[(2e-3, 0.3), (1e-2, 1.0)],
+         theta_out_deg=85.0, length_mm=50.0)
+@given(v=st.floats(min_value=300.0, max_value=5000.0),
+       nv=st.integers(min_value=3, max_value=300), nu=st.integers(min_value=1, max_value=60),
+       source=diameters,
+       exits=st.lists(st.tuples(diameters, distances), min_size=1, max_size=2),
+       theta_out_deg=st.floats(min_value=30.0, max_value=89.9999),
+       length_mm=st.floats(min_value=5.0, max_value=200.0))
+def test_traced_rows_keep_every_passing_row(v, nv, nu, source, exits, theta_out_deg, length_mm):
+    # Both kernels trace only the rows the exit pinholes can pass; the rows
+    # left out must be those no cell passes.  Pinholes from 1 mm to 2 m away
+    # include some within the plate length or the beam's reach, which bound
+    # no row, and exit angles near grazing, where reversed rows can pass.
+    cfg = RunConfig.from_dict({"setting": {"theta_out_deg": theta_out_deg},
+                               "device": {"length_mm": length_mm}})
+    bl = dataclasses.replace(
+        cfg.beamline(),
+        source_diameter=source,
+        exit_pinholes=tuple(sorted((Pinhole(d, at) for d, at in exits),
+                                   key=lambda ph: ph.distance)),
+    )
+    spec = BeamSpec(v)
+    p, g = cfg.particle(), cfg.grating()
+    kernels = {
+        True: lambda: _beam_counts(spec, bl, p, g, None, nv, nu),
+        False: lambda: _baseline_counts(spec, bl, p, g, BASELINE_THETA_INC, BASELINE_ORDER,
+                                        nv, nu),
+    }
+    for device, count in kernels.items():
+        try:
+            _, counts, _ = count()
+        except MonochromatorError:
+            continue
+        assert np.array_equal(counts, _every_cell_counts(spec, bl, p, g, nv, nu, device))
+
+
 @settings(max_examples=100, deadline=None)
 @given(v=st.floats(min_value=300.0, max_value=5000.0),
        nv=st.integers(min_value=3, max_value=30), nu=st.integers(min_value=1, max_value=30),
@@ -351,7 +399,7 @@ def test_row_counts_match_traced_rays(v, nv, nu, source, theta_out_deg, length_m
     assert counts.tolist() == traced
 
 
-@pytest.mark.parametrize("theta_ref, theta_exit, diameter, expected", [
+FLAT_AND_REVERSED_ROWS = [
     # arcsin(1) exits at pi/2, where the slope at this reference is exactly 0:
     # the row's one offset passes every column (wide pinhole, or the offset
     # exactly on the edge, where 0 / 0 would be NaN) or none (narrow pinhole).
@@ -361,7 +409,10 @@ def test_row_counts_match_traced_rays(v, nv, nu, source, theta_out_deg, length_m
     # A row exiting far below the reference has a negative slope; the pinhole
     # edge lies between columns, so the row passes in part, as every cell says.
     (1.3, -1.3, 2 * (0.3 * math.tan(-2.6) + 0.31 * 3.7e-4), None),
-])
+]
+
+
+@pytest.mark.parametrize("theta_ref, theta_exit, diameter, expected", FLAT_AND_REVERSED_ROWS)
 def test_pinhole_bounds_of_flat_and_reversed_rows(theta_ref, theta_exit, diameter, expected):
     theta_exit = np.array([np.arcsin(np.sin(theta_exit))])
     pinholes = (Pinhole(abs(diameter), 0.3),)
@@ -375,3 +426,20 @@ def test_pinhole_bounds_of_flat_and_reversed_rows(theta_ref, theta_exit, diamete
         assert np.array_equal(counts, every)
     else:
         assert counts[0] == expected
+
+
+@pytest.mark.parametrize("theta_ref, theta_exit, diameter, expected", FLAT_AND_REVERSED_ROWS)
+def test_traced_rows_hold_the_flat_and_reversed_rows(theta_ref, theta_exit, diameter, expected):
+    # The flat rows at pi/2 and the reversed row, with rel near -pi, pass
+    # wherever the bounds and counts above pass them, so they must be traced.
+    # Here a row is traced exactly when it passes: the narrow pinhole bounds
+    # rel far below pi/2 - 0.1013 and leaves the flat row out.
+    pinholes = (Pinhole(abs(diameter), 0.3),)
+    dx = np.linspace(-1e-3, 1e-3, 41)
+    exit_sine = np.sin([theta_exit, theta_ref])  # the reference row last
+    rows = _traced_rows(exit_sine, 1e-3, pinholes)
+    assert rows[-1] == 1
+    theta_exit = np.arcsin(exit_sine[:1])
+    lo, hi = _pinhole_bounds(theta_exit, theta_ref, pinholes)
+    counts = _row_counts(np.array([True]), dx, lo, hi)
+    assert (0 in rows) == (counts[0] > 0)
