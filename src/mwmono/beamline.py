@@ -16,10 +16,13 @@ Sampling is deterministic: uniform grids over velocity and over the source
 aperture.  Tracing is side-effect free and reduced by plain summation, so
 results do not depend on evaluation order.
 
-One row function serves both kernels: each bounce's angle, and whether all
-propagate, for an array of velocities.  Each kernel reads its reference ray
-(the centre velocity through the axis) from one extra row of the same call,
-and ``trace_velocity`` is a one-row evaluation of the device rows.
+One count kernel (:func:`_counts`) serves the device and the baseline, which
+is that kernel with one bounce and no device.  It evaluates each bounce's
+angle, and whether all propagate, for an array of velocities, with the
+reference ray (the centre velocity through the axis) as one extra row.  The
+device adds the entry window, the two plate cuts, the exit clearance and the
+central ray's shift; ``trace_velocity`` is one device row through the same
+central-ray helper.
 
 Rows are counted from intervals.  At a fixed velocity (one grid row) every
 cut is affine in the source offset u, and so in the row's sorted column
@@ -131,18 +134,15 @@ def _exit_rows(sines):
     return [np.arcsin(np.clip(sine, -1.0, 1.0)) for sine in sines], valid
 
 
-def _device_rows(sines, device, x1):
-    """Rises s * tan(angle) of the three bounces of ``sines``, exit angle and validity per
-    velocity, and the ray entering at ``x1`` on the last velocity (None when a cut blocks it)."""
-    angles, valid = _exit_rows(sines)
-    rises = [device.separation * np.tan(a) for a in angles]
+def _central_ray(rises, theta_exit, valid, length, x1):
+    """The ray entering at ``x1`` on the last row of the three bounces' ``rises`` s *
+    tan(angle) and exit angles ``theta_exit``, or None when a cut blocks it."""
     x2 = x1 + rises[0][-1]
     x3 = x2 + rises[1][-1]
     x_clear = x3 + rises[2][-1]
-    length, ray = device.length, None
     if valid[-1] and 0.0 <= x2 <= length and 0.0 <= x3 <= length and not 0.0 < x_clear < length:
-        ray = ExitRay(position=float(x3), angle=float(angles[-1][-1]))
-    return rises, angles[-1], valid, ray
+        return ExitRay(position=float(x3), angle=float(theta_exit[-1]))
+    return None
 
 
 @_ROW_ERRSTATE
@@ -168,7 +168,9 @@ def trace_velocity(
     if entry_window <= 0 or not 0.0 <= x1 <= entry_window:
         return None
     sines = _exit_sines(theta_inc, path.orders, particle, grating, np.array([v], dtype=float))
-    return _device_rows(sines, device, x1)[-1]
+    angles, valid = _exit_rows(sines)
+    rises = [device.separation * np.tan(a) for a in angles]
+    return _central_ray(rises, angles[-1], valid, device.length, x1)
 
 
 def _pinhole_bounds(theta_exit, theta_ref, pinholes):
@@ -287,7 +289,10 @@ def _fwhm(x: np.ndarray, w: np.ndarray) -> float:
     return float(x[1] - x[0])
 
 
-def _reduce(spec, velocities, weights) -> BeamlineResult:
+def _reduce(spec, velocities, offsets, counts, transmission) -> BeamlineResult:
+    """Figures of merit of the passing ``counts`` per velocity row, each passing ray weighted
+    by ``transmission`` over the number of launched rays."""
+    weights = counts * (transmission / (velocities.size * offsets.size))
     total = weights.sum()
     if total <= 0.0:
         raise EmptyTransmissionError("no ray passed all apertures")
@@ -313,51 +318,52 @@ def _reduce(spec, velocities, weights) -> BeamlineResult:
 
 
 @_ROW_ERRSTATE
-def _beam_counts(spec, beamline, particle, grating, path, velocity_bins, offset_samples):
-    """Velocities, passing offsets per velocity and path transmission of :func:`simulate_beam`."""
-    velocities, offsets = _axes(spec, beamline, velocity_bins, offset_samples)
-    setting = beamline.setting
-    device = beamline.device
-    vbar = spec.center_velocity
-    theta_inc = incidence_for_output(setting, particle, grating, vbar)
-    if path is None:
-        path = select_path(setting, particle, grating, vbar, device)
-    if path.transmission is None:
-        raise ConfigurationError(
-            f"path {path.orders} has no transmission rate for this grating"
-        )
+def _counts(velocities, offsets, vbar, theta_inc, orders, particle, grating, pinholes,
+            device=None):
+    """Passing source offsets per velocity row after the bounces ``orders`` at ``theta_inc``:
+    between the plates of ``device``, or off an open grating when it is None (the baseline).
 
-    length = device.length
-    entry_window = min(device.separation * math.tan(theta_inc), length)
-    if entry_window <= 0:
-        raise EmptyTransmissionError("entry window closed at this incidence angle")
-
-    # One extra row at the centre velocity holds the reference ray through the axis.
-    sines = _exit_sines(theta_inc, path.orders, particle, grating, np.append(velocities, vbar))
-    rows = _traced_rows(sines[-1], length, beamline.exit_pinholes)
-    (rise1, rise2, rise3), theta_exit, valid, central = _device_rows(
-        [sine[rows] for sine in sines], device, entry_window / 2
-    )
-
-    # The entry window depends on the offset alone: keep the columns in front.
-    x1 = entry_window / 2 + offsets / math.cos(theta_inc)
-    x1 = x1[(x1 >= 0.0) & (x1 <= entry_window)]
-
-    if central is None:
-        raise EmptyTransmissionError("central ray blocked inside the device")
-
-    # Every cut bounds x1: x2 = x1 + rise1 and x3 = x2 + rise2 lie on the
-    # plate, dx = x3 - central.position passes the pinholes, and the exit
-    # clearance x3 + rise3 lies outside (0, length).
-    rise12 = rise1 + rise2
-    lo, hi = _pinhole_bounds(theta_exit, central.angle, beamline.exit_pinholes)
-    shift = central.position - rise12
-    lo = np.maximum.reduce([-rise1, -rise12, lo + shift])
-    hi = np.minimum.reduce([length - rise1, length - rise12, hi + shift])
-    rise = rise12 + rise3
-    counts = np.zeros(velocity_bins, dtype=np.intp)
-    counts[rows[:-1]] = _row_counts(valid, x1, lo, hi, gap=(-rise, length - rise))[:-1]
-    return velocities, counts, path.transmission
+    The pinholes are centred on the reference ray, the centre velocity ``vbar`` through the
+    axis, which one extra row of the same evaluation holds.
+    """
+    column = offsets / math.cos(theta_inc)  # first reflection point along the plate
+    if device is None:
+        reach = float(np.abs(column).max())  # from the reference ray's column 0
+    else:
+        length = reach = device.length
+        entry_window = min(device.separation * math.tan(theta_inc), length)
+        if entry_window <= 0:
+            raise EmptyTransmissionError("entry window closed at this incidence angle")
+        # The entry window depends on the offset alone: keep the columns in front.
+        column = entry_window / 2 + column
+        column = column[(column >= 0.0) & (column <= entry_window)]
+    sines = _exit_sines(theta_inc, orders, particle, grating, np.append(velocities, vbar))
+    rows = _traced_rows(sines[-1], reach, pinholes)
+    angles, valid = _exit_rows([sine[rows] for sine in sines])
+    theta_exit = angles[-1]
+    if device is None:
+        if not valid[-1]:
+            raise EmptyTransmissionError("baseline centre velocity evanescent")
+        lo, hi = _pinhole_bounds(theta_exit, theta_exit[-1], pinholes)
+        gap = None
+    else:
+        rise1, rise2, rise3 = rises = [device.separation * np.tan(a) for a in angles]
+        central = _central_ray(rises, theta_exit, valid, length, entry_window / 2)
+        if central is None:
+            raise EmptyTransmissionError("central ray blocked inside the device")
+        # Every cut bounds x1: x2 = x1 + rise1 and x3 = x2 + rise2 lie on the
+        # plate, dx = x3 - central.position passes the pinholes, and the exit
+        # clearance x3 + rise3 lies outside (0, length).
+        rise12 = rise1 + rise2
+        lo, hi = _pinhole_bounds(theta_exit, central.angle, pinholes)
+        shift = central.position - rise12
+        lo = np.maximum.reduce([-rise1, -rise12, lo + shift])
+        hi = np.minimum.reduce([length - rise1, length - rise12, hi + shift])
+        rise = rise12 + rise3
+        gap = (-rise, length - rise)
+    counts = np.zeros(velocities.size, dtype=np.intp)
+    counts[rows[:-1]] = _row_counts(valid, column, lo, hi, gap)[:-1]
+    return counts
 
 
 def simulate_beam(
@@ -376,36 +382,16 @@ def simulate_beam(
     launched ray carries equal weight; transmitted rays are scaled by the
     path's transmission rate so throughput is physically meaningful.
     """
-    velocities, counts, transmission = _beam_counts(
-        spec, beamline, particle, grating, path, velocity_bins, offset_samples
-    )
-    return _reduce(spec, velocities, counts * (transmission / (velocity_bins * offset_samples)))
-
-
-@_ROW_ERRSTATE
-def _baseline_counts(spec, beamline, particle, grating, theta_inc, order,
-                     velocity_bins, offset_samples):
-    """Velocities, passing offsets per velocity and reflection probability of the baseline."""
     velocities, offsets = _axes(spec, beamline, velocity_bins, offset_samples)
-
-    # The last row, at the centre velocity, is the reference ray.
-    (sine,) = _exit_sines(theta_inc, (order,), particle, grating,
-                          np.append(velocities, spec.center_velocity))
-    cos_inc = math.cos(theta_inc)
-    rows = _traced_rows(sine, beamline.source_diameter / 2 / abs(cos_inc), beamline.exit_pinholes)
-    (theta_exit,), valid = _exit_rows([sine[rows]])
-    if not valid[-1]:
-        raise EmptyTransmissionError("baseline centre velocity evanescent")
-
-    dx = offsets / cos_inc  # reflection point along the plate
-    prob = grating.reflection_probabilities.get(abs(order))
-    if prob is None:
-        raise ConfigurationError(f"no reflection probability for |order| = {abs(order)}")
-
-    lo, hi = _pinhole_bounds(theta_exit, theta_exit[-1], beamline.exit_pinholes)
-    counts = np.zeros(velocity_bins, dtype=np.intp)
-    counts[rows[:-1]] = _row_counts(valid, dx, lo, hi)[:-1]
-    return velocities, counts, prob
+    setting, device, vbar = beamline.setting, beamline.device, spec.center_velocity
+    theta_inc = incidence_for_output(setting, particle, grating, vbar)
+    if path is None:
+        path = select_path(setting, particle, grating, vbar, device)
+    if path.transmission is None:
+        raise ConfigurationError(f"path {path.orders} has no transmission rate for this grating")
+    counts = _counts(velocities, offsets, vbar, theta_inc, path.orders, particle, grating,
+                     beamline.exit_pinholes, device)
+    return _reduce(spec, velocities, offsets, counts, path.transmission)
 
 
 def single_reflection_baseline(
@@ -423,10 +409,14 @@ def single_reflection_baseline(
     The mirror is not enclosed between plates, so only the pinholes select;
     the exit pinholes are again centred on the centre velocity's exit ray.
     """
-    velocities, counts, prob = _baseline_counts(
-        spec, beamline, particle, grating, theta_inc, order, velocity_bins, offset_samples
-    )
-    return _reduce(spec, velocities, counts * (prob / (velocity_bins * offset_samples)))
+    velocities, offsets = _axes(spec, beamline, velocity_bins, offset_samples)
+    counts = _counts(velocities, offsets, spec.center_velocity, theta_inc, (order,), particle,
+                     grating, beamline.exit_pinholes)
+    prob = grating.reflection_probabilities.get(abs(order))
+    if prob is None:
+        raise ConfigurationError(f"no reflection probability for |order| = {abs(order)}")
+    return _reduce(spec, velocities, offsets, counts, prob)
+
 
 @dataclass(frozen=True)
 class ScanRow:

@@ -12,6 +12,7 @@ from mwmono import (
     EmptyTransmissionError,
     Pinhole,
     RunConfig,
+    enumerate_paths,
     incidence_for_output,
     scan_speed_ratio,
     select_path,
@@ -189,6 +190,29 @@ class TestSimulateBeam:
             simulate_beam(BeamSpec(1000.0), beamline, helium, grating, path=path)
         assert str(info.value) == "path (0, 0, -1) has no transmission rate for this grating"
 
+    def test_entry_window_closed_after_the_transmission_check(self):
+        # A 5e-324 m gap rounds the entry window s * tan(theta_inc) to 0; an explicit path
+        # reaches it, since no path is feasible there.  A path without a transmission is
+        # still reported first.
+        cfg = RunConfig.from_dict({"setting": {"theta_out_deg": 30.0}})
+        bl = cfg.beamline()
+        bl = dataclasses.replace(bl, device=dataclasses.replace(bl.device, separation=5e-324))
+        helium, grating = cfg.particle(), cfg.grating()
+        path = next(p for p in enumerate_paths(bl.setting, helium, grating, 3000.0)
+                    if p.transmission is not None)
+        with pytest.raises(EmptyTransmissionError) as info:
+            simulate_beam(BeamSpec(3000.0), bl, helium, grating, path=path)
+        assert str(info.value) == "entry window closed at this incidence angle"
+        with pytest.raises(ConfigurationError, match="has no transmission rate"):
+            simulate_beam(BeamSpec(3000.0), bl, helium, grating,
+                          path=path._replace(transmission=None))
+
+    def test_grid_is_checked_before_the_cutoff(self, objs):
+        # 100 m/s is below every cutoff, but the unsplittable width is raised first.
+        helium, grating, beamline = objs
+        with pytest.raises(ConfigurationError, match="cannot be split into 2001 distinct"):
+            simulate_beam(BeamSpec(100.0, 1e-12), beamline, helium, grating)
+
     @pytest.mark.parametrize("center, width", [(1e160, 1e159)])
     def test_std_is_finite_at_extreme_widths(self, center, width):
         # Far above 1e154 m/s the squared deviations would overflow.
@@ -232,6 +256,15 @@ class TestBaseline:
         with pytest.raises(ConfigurationError) as info:
             single_reflection_baseline(BeamSpec(5000.0), beamline, helium, grating, order=-3)
         assert str(info.value) == "no reflection probability for |order| = 3"
+
+    def test_evanescent_centre_is_raised_before_a_missing_probability(self, objs):
+        # Order +3 at 50 degrees leaves no propagating order at 1000 m/s, and the grating
+        # has no probability for |order| = 3 either: the evanescent centre is raised first.
+        helium, grating, beamline = objs
+        assert 3 not in grating.reflection_probabilities
+        with pytest.raises(EmptyTransmissionError) as info:
+            single_reflection_baseline(BeamSpec(1000.0), beamline, helium, grating, order=3)
+        assert str(info.value) == "baseline centre velocity evanescent"
 
 
 class TestScan:

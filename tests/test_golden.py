@@ -38,6 +38,8 @@ README_SCAN = ["scan", "--v-min", "300", "--v-max", "5000", "--v-step", "100"]
      "simulate_tight_pinhole.json"),
     # The same grid at every README centre: pins the kernels' traced rows.
     (README_SCAN + ["--config", str(GOLDEN / "tight_pinhole.yaml")], "scan_tight_pinhole.csv"),
+    # A baseline at 60 degrees and order -2, evanescent at 300 m/s.
+    (README_SCAN + ["--config", str(GOLDEN / "baseline_60deg.yaml")], "scan_baseline_60deg.csv"),
 ])
 def test_cli_output_matches_golden(capsysbinary, args, name):
     assert entrypoint(args) == 0

@@ -35,8 +35,8 @@ from mwmono import (
 from mwmono.beamline import (
     BASELINE_ORDER,
     BASELINE_THETA_INC,
-    _baseline_counts,
-    _beam_counts,
+    _axes,
+    _counts,
     _pinhole_bounds,
     _row_counts,
     _traced_rows,
@@ -252,6 +252,20 @@ def _pinhole_passes(theta_exit, theta_ref, pinholes, dx):
     return passed
 
 
+def _kernel_counts(spec, bl, p, g, nv, nu, device):
+    """Velocities and per-row passing offsets of the kernel, through the device on the
+    selected path or as the default baseline."""
+    velocities, offsets = _axes(spec, bl, nv, nu)
+    vbar = spec.center_velocity
+    if not device:
+        return velocities, _counts(velocities, offsets, vbar, BASELINE_THETA_INC,
+                                   (BASELINE_ORDER,), p, g, bl.exit_pinholes)
+    theta_inc = incidence_for_output(bl.setting, p, g, vbar)
+    path = select_path(bl.setting, p, g, vbar, bl.device)
+    return velocities, _counts(velocities, offsets, vbar, theta_inc, path.orders, p, g,
+                               bl.exit_pinholes, bl.device)
+
+
 def _every_cell_counts(spec, bl, p, g, nv, nu, device):
     """Per-row passing offsets with every cut evaluated on every grid cell."""
     vbar = spec.center_velocity
@@ -309,14 +323,9 @@ def test_row_counts_match_every_cell(v, nv, nu, source, exits, theta_out_deg, le
     )
     spec = BeamSpec(v)
     p, g = cfg.particle(), cfg.grating()
-    kernels = {
-        True: lambda: _beam_counts(spec, bl, p, g, None, nv, nu),
-        False: lambda: _baseline_counts(spec, bl, p, g, BASELINE_THETA_INC, BASELINE_ORDER,
-                                        nv, nu),
-    }
-    for device, count in kernels.items():
+    for device in (True, False):
         try:
-            _, counts, _ = count()
+            _, counts = _kernel_counts(spec, bl, p, g, nv, nu, device)
         except MonochromatorError:
             continue
         assert np.array_equal(counts, _every_cell_counts(spec, bl, p, g, nv, nu, device))
@@ -356,14 +365,9 @@ def test_traced_rows_keep_every_passing_row(v, nv, nu, source, exits, theta_out_
     )
     spec = BeamSpec(v)
     p, g = cfg.particle(), cfg.grating()
-    kernels = {
-        True: lambda: _beam_counts(spec, bl, p, g, None, nv, nu),
-        False: lambda: _baseline_counts(spec, bl, p, g, BASELINE_THETA_INC, BASELINE_ORDER,
-                                        nv, nu),
-    }
-    for device, count in kernels.items():
+    for device in (True, False):
         try:
-            _, counts, _ = count()
+            _, counts = _kernel_counts(spec, bl, p, g, nv, nu, device)
         except MonochromatorError:
             continue
         assert np.array_equal(counts, _every_cell_counts(spec, bl, p, g, nv, nu, device))
@@ -387,7 +391,7 @@ def test_row_counts_match_traced_rays(v, nv, nu, source, theta_out_deg, length_m
     )
     p, g = cfg.particle(), cfg.grating()
     try:
-        velocities, counts, _ = _beam_counts(BeamSpec(v), bl, p, g, None, nv, nu)
+        velocities, counts = _kernel_counts(BeamSpec(v), bl, p, g, nv, nu, True)
     except MonochromatorError:
         return
     theta_inc = incidence_for_output(bl.setting, p, g, v)
