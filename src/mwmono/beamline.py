@@ -482,16 +482,7 @@ def scan_speed_ratio(
             ).speed_ratio
         except EmptyTransmissionError:
             pass
-        rows.append(
-            ScanRow(
-                v_center=vbar,
-                input_ratio=spec.speed_ratio,
-                final_ratio=final,
-                baseline_ratio=baseline,
-                throughput=throughput,
-                flag=flag,
-            )
-        )
+        rows.append(ScanRow(vbar, spec.speed_ratio, final, baseline, throughput, flag))
     if config_error is not None and all(row.flag == "invalid_center" for row in rows):
         raise config_error
     return rows

@@ -104,7 +104,10 @@ def _order(text: str) -> int:
 
 
 def _orders(text: str) -> list[int]:
-    return [_order(tok) for tok in text.split(",") if tok.strip()]
+    orders = [_order(tok) for tok in text.split(",") if tok.strip()]
+    if not orders:
+        raise argparse.ArgumentTypeError("expected at least one order")
+    return orders
 
 
 #: Every option as ``add_argument`` keywords, declared once and keyed by its flag.  An

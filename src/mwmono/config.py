@@ -183,7 +183,11 @@ class RunConfig:
 
     def grating(self) -> Grating:
         spec = self._mapping("material")
-        probs = {int(k): float(v) for k, v in spec["reflection_probabilities"].items()}
+        probs = {}
+        for key, p in spec["reflection_probabilities"].items():
+            if int(key) in probs:  # "1" and "01" both name |order| = 1
+                raise ValueError(f"two reflection probability keys name |order| = {int(key)}")
+            probs[int(key)] = float(p)
         return Grating(period=spec["period_angstrom"] * 1e-10, reflection_probabilities=probs)
 
     def setting(self) -> MonochromatorSetting:

@@ -35,6 +35,9 @@ from .errors import ConfigurationError, EmptyTransmissionError
 #: Relative tolerance used to merge paths with equal geometry ratio.
 GROUP_RTOL = 1e-9
 
+#: The internal orders n1 and n2 each range over [-2, 2]: the paper's 25 (n1, n2) pairs.
+INTERNAL_ORDERS = range(-2, 3)
+
 DEFAULT_VELOCITY_BINS = 2001
 DEFAULT_OFFSET_SAMPLES = 201
 
@@ -178,11 +181,10 @@ def _runs(combos):
 
 
 @functools.lru_cache(maxsize=64)
-def _combinations(total: int, max_order: int):
-    """(n1, n2, n3) combinations for (n1, n2) in [-max_order, max_order], n1 first, as
+def _combinations(total: int):
+    """(n1, n2, n3) combinations for n1 and n2 in :data:`INTERNAL_ORDERS`, n1 first, as
     :func:`_runs`; n3 = total - n1 - n2 by order conservation."""
-    internal = range(-max_order, max_order + 1)
-    return _runs([(n1, n2, total - n1 - n2) for n1 in internal for n2 in internal])
+    return _runs([(n1, n2, total - n1 - n2) for n1 in INTERNAL_ORDERS for n2 in INTERNAL_ORDERS])
 
 
 def _transmission(probs: dict, n1: int, n2: int, n3: int) -> float | None:
@@ -227,16 +229,14 @@ def enumerate_paths(
     particle: Particle,
     grating: Grating,
     v: float,
-    max_order: int = 2,
 ) -> list[DiffractionPath]:
     """All realizable bounce sequences at velocity v.
 
-    (n1, n2) range over [-max_order, max_order]; n3 is fixed by order
+    n1 and n2 range over :data:`INTERNAL_ORDERS`; n3 is fixed by order
     conservation.  A combination survives when both internal diffraction
     angles exist (no evanescent order).  An empty list is a valid result.
     """
-    survivors = _propagating(setting, particle, grating, v,
-                             *_combinations(setting.order_magnitude, max_order))
+    survivors = _propagating(setting, particle, grating, v, *_combinations(setting.order_magnitude))
     probs = grating.reflection_probabilities
     return [DiffractionPath(n1, n2, n3, alpha1, alpha2, ratio, _transmission(probs, n1, n2, n3))
             for n1, n2, n3, alpha1, alpha2, ratio in survivors]
@@ -252,13 +252,13 @@ def feasibility_band(path: DiffractionPath, setting: MonochromatorSetting) -> Fe
 def _ranked_combinations(probabilities: tuple[tuple[int, float], ...], total: int):
     """:func:`select_path`'s candidates, best first, as :func:`_runs`.
 
-    The candidates are the max_order 2 combinations whose three reflection probabilities
+    The candidates are the (n1, n2) combinations whose three reflection probabilities
     ``probabilities`` (the grating's (|order|, p) items) all define, ordered by
     (transmission, -|n1|, orders) from the highest.  That order holds at every velocity.
     """
     probs = dict(probabilities)
     keys = {}
-    for n1, rest in _combinations(total, 2)[0]:
+    for n1, rest in _combinations(total)[0]:
         for n2, n3 in rest:
             transmission = _transmission(probs, n1, n2, n3)
             if transmission is not None:
@@ -336,11 +336,10 @@ def path_census(
     particle: Particle,
     grating: Grating,
     v: float,
-    max_order: int = 2,
 ) -> tuple[int, int, int]:
     """(considered, surviving, groups) counts of the enumeration at velocity v.
 
-    ``considered`` is the (2 * max_order + 1) ** 2 combinations of (n1, n2);
+    ``considered`` is the 25 combinations of (n1, n2) in :data:`INTERNAL_ORDERS`;
     ``surviving`` counts those whose two internal orders both propagate;
     ``groups`` counts the clusters of surviving paths with equal d/s within
     ``GROUP_RTOL``, so each symmetric pair (n1, n2, n3) / (n1 + n2, -n2,
@@ -348,11 +347,10 @@ def path_census(
     counted from the sorted ratios by :func:`group_paths_by_geometry`'s rule,
     without building path records or groups.
     """
-    survivors = _propagating(setting, particle, grating, v,
-                             *_combinations(setting.order_magnitude, max_order))
+    survivors = _propagating(setting, particle, grating, v, *_combinations(setting.order_magnitude))
     ratios = sorted([path[5] for path in survivors])  # each survivor's d/s
     groups, ref, limit = 0, 0.0, 0.0
     for ratio in ratios:
         if not groups or not abs(ratio - ref) <= limit:
             groups, ref, limit = groups + 1, ratio, _group_limit(ratio)
-    return (2 * max_order + 1) ** 2, len(ratios), groups
+    return len(INTERNAL_ORDERS) ** 2, len(ratios), groups

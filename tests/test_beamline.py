@@ -21,6 +21,7 @@ from mwmono import (
     trace_velocity,
     velocity_divergence,
 )
+from mwmono.beamline import _fwhm
 from mwmono.geometry import MAX_OFFSET_SAMPLES, MAX_VELOCITY_BINS
 
 
@@ -228,6 +229,16 @@ class TestSimulateBeam:
         cfg = RunConfig.from_dict({"setting": {"theta_out_deg": 75.0}})
         with pytest.raises(ConfigurationError, match=r"beam width 1e-300 m/s .* 2001 distinct"):
             kernel(BeamSpec(1500.0, 1e-300), cfg.beamline(), cfg.particle(), cfg.grating())
+
+    @pytest.mark.parametrize("start, ulps", [(math.nextafter(1000.0, math.inf), 1), (1000.0, 2)])
+    def test_fwhm_of_one_bin_between_neighbours_one_ulp_away(self, start, ulps):
+        # Each half-maximum crossing lies half an ulp beyond a bin and rounds to even.  From
+        # an odd first bin both round onto the middle bin, so the width falls back to one
+        # bin; from an even one they round apart, two ulps.
+        x = np.array([start, math.nextafter(start, math.inf),
+                      math.nextafter(math.nextafter(start, math.inf), math.inf)])
+        width = _fwhm(x, np.array([0.0, 1.0, 0.0]))
+        assert width == ulps * math.ulp(1000.0) == ulps * (x[1] - x[0])
 
 
 class TestBaseline:

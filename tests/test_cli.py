@@ -117,6 +117,10 @@ class TestConfig:
         ("beamline: {exit_pinholes: [{diameter_mm: 10}]}", "beamline/exit_pinholes/0"),
         ("material: {period_angstrom: 3.383, reflection_probabilities: {x: 0.5}}", "material"),
         ("material: {period_angstrom: 3.383, reflection_probabilities: {'1': 1.5}}", "material"),
+        # "1" and "01" both name order 1; keeping either would change the throughput.
+        ("material: {period_angstrom: 3.383,"
+         " reflection_probabilities: {'0': 0.06, '1': 0.03, '01': 0.5, '2': 0.015}}",
+         "material: two reflection probability keys name |order| = 1"),
         ("sampling: {velocity_bins: 2}", "sampling"),
         ("sampling: {offset_samples: 10002}", "sampling"),
         # Values that a JSON-schema type and range check lets through.
@@ -135,7 +139,9 @@ class TestConfig:
         cfg = tmp_path / "bad.yaml"
         cfg.write_text(text + "\n")
         assert entrypoint(["simulate", "--config", str(cfg)]) == 2
-        assert f"invalid config at {path}" in capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert f"invalid config at {path}" in err
 
 
     def test_every_config_key_changes_the_outcome(self, tmp_path, capsys):
@@ -729,10 +735,12 @@ class TestArguments:
         (["paths", "--v", "1000", "--format", "xml"], "error: "),
         (["paths", "--v", "1000", "--order", "1000000001"], "error: "),
         (["incidence-table", "--orders", "1,x"], "error: "),
+        (["incidence-table", "--orders", ","], "error: argument --orders: "),
+        (["divergence-table", "--orders", ""], "error: argument --orders: "),
         (["simulate", "--config", "missing.yaml"], "config error: "),
         (["bogus"], "error: "),
-    ], ids=["missing-v", "format-xml", "order-beyond-1e9", "orders-1-x", "missing-config",
-            "unknown-command"])
+    ], ids=["missing-v", "format-xml", "order-beyond-1e9", "orders-1-x", "orders-comma",
+            "orders-empty", "missing-config", "unknown-command"])
     def test_usage_error_exits_2_with_one_line(self, tmp_path, monkeypatch, capsys, args,
                                                prefix):
         monkeypatch.chdir(tmp_path)

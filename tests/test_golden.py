@@ -1,8 +1,10 @@
 """The CLI reproduces stored outputs of the README commands byte for byte.
 
-Each case runs one command in process and compares its stdout with a file
-under ``tests/golden/``.  Regenerate one only for an intended change of
-output, e.g.
+Each case of ``CASES`` runs one command in process and compares its stdout
+with a file under ``tests/golden/``.  Run as a script, this file prints the
+cases, one per line: the file's name, then the arguments, tab-separated;
+CI replays them through the installed ``mwmono`` console script.
+Regenerate a file only for an intended change of output, e.g.
 ``mwmono scan --v-min 300 --v-max 5000 --v-step 100 > tests/golden/scan.csv``.
 """
 
@@ -16,7 +18,8 @@ GOLDEN = Path(__file__).parent / "golden"
 README_SCAN = ["scan", "--v-min", "300", "--v-max", "5000", "--v-step", "100"]
 
 
-@pytest.mark.parametrize("args, name", [
+#: (arguments, golden file name) of every stored output.
+CASES = [
     (README_SCAN, "scan.csv"),
     (README_SCAN + ["--format", "json"], "scan.json"),
     (["simulate", "--v-center", "1000"], "simulate_1000.json"),
@@ -40,7 +43,15 @@ README_SCAN = ["scan", "--v-min", "300", "--v-max", "5000", "--v-step", "100"]
     (README_SCAN + ["--config", str(GOLDEN / "tight_pinhole.yaml")], "scan_tight_pinhole.csv"),
     # A baseline at 60 degrees and order -2, evanescent at 300 m/s.
     (README_SCAN + ["--config", str(GOLDEN / "baseline_60deg.yaml")], "scan_baseline_60deg.csv"),
-])
+]
+
+
+@pytest.mark.parametrize("args, name", CASES)
 def test_cli_output_matches_golden(capsysbinary, args, name):
     assert entrypoint(args) == 0
     assert capsysbinary.readouterr().out == (GOLDEN / name).read_bytes()
+
+
+if __name__ == "__main__":
+    for args, name in CASES:
+        print("\t".join([name, *args]))
