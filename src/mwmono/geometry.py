@@ -6,7 +6,9 @@ surviving path fixes the two internal angles, the first-to-third reflection
 span relative to the plate separation (the geometry ratio d/s), and the
 transmission rate, the product of the per-bounce diffraction populations.
 The device realizes the most transmissive path whose l/s band holds its own
-l/s ratio (:func:`select_path`).
+l/s ratio (:func:`select_path`, a walk of a flat best-first ranking).  Each of
+the three walkers loops over the candidates itself, with the same float
+expressions in the same order, so their angles and ratios agree bit for bit.
 
 The beamline's domain objects (beam, pinholes, beamline), the sampling
 grid's bounds and the baseline's defaults live here too, so that selecting a
@@ -17,10 +19,9 @@ path or building and validating a config never loads the numpy kernels of
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from typing import NamedTuple
 
 from .diffraction import (
@@ -172,21 +173,6 @@ class FeasibilityBand:
         return self.lower < ratio < self.upper
 
 
-def _runs(combos):
-    """``combos``, (n1, n2, n3) triples, as runs of equal n1 in the same order:
-    ((n1, ((n2, n3), ...)), ...), and their distinct orders."""
-    runs = tuple((n1, tuple((n2, n3) for _, n2, n3 in run))
-                 for n1, run in itertools.groupby(combos, itemgetter(0)))
-    return runs, tuple({n for combo in combos for n in combo})
-
-
-@functools.lru_cache(maxsize=64)
-def _combinations(total: int):
-    """(n1, n2, n3) combinations for n1 and n2 in :data:`INTERNAL_ORDERS`, n1 first, as
-    :func:`_runs`; n3 = total - n1 - n2 by order conservation."""
-    return _runs([(n1, n2, total - n1 - n2) for n1 in INTERNAL_ORDERS for n2 in INTERNAL_ORDERS])
-
-
 def _transmission(probs: dict, n1: int, n2: int, n3: int) -> float | None:
     """Product of the reflection probabilities ``probs`` (keyed by |order|) of the three
     orders, or None when one is missing."""
@@ -194,34 +180,15 @@ def _transmission(probs: dict, n1: int, n2: int, n3: int) -> float | None:
     return None if p1 is None or p2 is None or p3 is None else p1 * p2 * p3
 
 
-def _propagating(setting, particle, grating, v, runs, orders):
-    """Yield (n1, n2, n3, alpha1, alpha2, d/s) for each combination of ``runs``, in order,
-    whose three bounces propagate at velocity v.
+def _sines(setting, particle, grating, v):
+    """sin(theta_inc) at velocity v, and the step: order n shifts a sine by n * step.
 
-    ``runs`` holds the combinations as runs of equal n1, ((n1, ((n2, n3), ...)), ...) (see
-    :func:`_runs`), so that the first bounce's sine, angle and tangent are computed once per
-    run.  The incidence angle and the order step are solved when the first item is drawn,
-    so their errors come before any result.  Order n shifts the sine by n * step;
-    ``orders`` holds every order in ``runs``.  The specular shift is 0.0, not 0 * step,
-    which is nan once the momentum underflows and the step is inf.  A sine is rejected by
-    ``abs(s) > 1.0``, so NaN passes.
+    Each walker writes that shift as ``n * step if n else 0.0``: the specular shift is 0.0,
+    not 0 * step, which is nan once the momentum underflows and the step is inf.  A sine is
+    rejected by ``abs(s) > 1.0``, so NaN passes.
     """
     theta_inc = incidence_for_output(setting, particle, grating, v)
-    step = wavelength_ratio(particle, grating, v)
-    sin_inc = math.sin(theta_inc)
-    shift = {n: n * step if n else 0.0 for n in orders}
-    for n1, rest in runs:
-        s1 = sin_inc + shift[n1]
-        if abs(s1) > 1.0:
-            continue
-        alpha1 = math.asin(s1)
-        tan1 = math.tan(alpha1)
-        for n2, n3 in rest:
-            s2 = s1 + shift[n2]
-            if abs(s2) > 1.0 or abs(s2 + shift[n3]) > 1.0:
-                continue
-            alpha2 = math.asin(s2)
-            yield n1, n2, n3, alpha1, alpha2, tan1 + math.tan(alpha2)
+    return math.sin(theta_inc), wavelength_ratio(particle, grating, v)
 
 
 def enumerate_paths(
@@ -236,10 +203,24 @@ def enumerate_paths(
     conservation.  A combination survives when both internal diffraction
     angles exist (no evanescent order).  An empty list is a valid result.
     """
-    survivors = _propagating(setting, particle, grating, v, *_combinations(setting.order_magnitude))
-    probs = grating.reflection_probabilities
-    return [DiffractionPath(n1, n2, n3, alpha1, alpha2, ratio, _transmission(probs, n1, n2, n3))
-            for n1, n2, n3, alpha1, alpha2, ratio in survivors]
+    sin_inc, step = _sines(setting, particle, grating, v)
+    total, probs = setting.order_magnitude, grating.reflection_probabilities
+    paths = []
+    for n1 in INTERNAL_ORDERS:
+        s1 = sin_inc + (n1 * step if n1 else 0.0)
+        if abs(s1) > 1.0:
+            continue
+        alpha1 = math.asin(s1)
+        tan1 = math.tan(alpha1)
+        for n2 in INTERNAL_ORDERS:
+            n3 = total - n1 - n2
+            s2 = s1 + (n2 * step if n2 else 0.0)
+            if abs(s2) > 1.0 or abs(s2 + (n3 * step if n3 else 0.0)) > 1.0:
+                continue
+            alpha2 = math.asin(s2)
+            paths.append(DiffractionPath(n1, n2, n3, alpha1, alpha2, tan1 + math.tan(alpha2),
+                                         _transmission(probs, n1, n2, n3)))
+    return paths
 
 
 def feasibility_band(path: DiffractionPath, setting: MonochromatorSetting) -> FeasibilityBand:
@@ -250,7 +231,7 @@ def feasibility_band(path: DiffractionPath, setting: MonochromatorSetting) -> Fe
 
 @functools.lru_cache(maxsize=64)
 def _ranked_combinations(probabilities: tuple[tuple[int, float], ...], total: int):
-    """:func:`select_path`'s candidates, best first, as :func:`_runs`.
+    """:func:`select_path`'s candidates, best first, as one tuple of (n1, n2, n3) triples.
 
     The candidates are the (n1, n2) combinations whose three reflection probabilities
     ``probabilities`` (the grating's (|order|, p) items) all define, ordered by
@@ -258,12 +239,13 @@ def _ranked_combinations(probabilities: tuple[tuple[int, float], ...], total: in
     """
     probs = dict(probabilities)
     keys = {}
-    for n1, rest in _combinations(total)[0]:
-        for n2, n3 in rest:
+    for n1 in INTERNAL_ORDERS:
+        for n2 in INTERNAL_ORDERS:
+            n3 = total - n1 - n2
             transmission = _transmission(probs, n1, n2, n3)
             if transmission is not None:
                 keys[n1, n2, n3] = (transmission, -abs(n1), (n1, n2, n3))
-    return _runs(sorted(keys, key=keys.__getitem__, reverse=True))
+    return tuple(sorted(keys, key=keys.__getitem__, reverse=True))
 
 
 def select_path(
@@ -284,16 +266,22 @@ def select_path(
     the defaults), but they are left out of the throughput.
 
     The walk is best first: the candidates' order depends only on the
-    grating's probabilities and |N|, and is cached on those two, so at each
-    velocity the angles are computed only for the propagating candidates up
-    to the first feasible one.
+    grating's probabilities and |N|, and is cached on those two as one flat
+    tuple, so at each velocity the angles are computed only for the
+    propagating candidates up to the first feasible one.
     """
     probs = grating.reflection_probabilities
-    ranked, orders = _ranked_combinations(tuple(probs.items()), setting.order_magnitude)
+    ranked = _ranked_combinations(tuple(probs.items()), setting.order_magnitude)
     ratio = device.length_ratio
     width = math.tan(setting.theta_out)  # of every path's band; see feasibility_band
-    for n1, n2, n3, alpha1, alpha2, lower in _propagating(
-            setting, particle, grating, v, ranked, orders):
+    sin_inc, step = _sines(setting, particle, grating, v)
+    for n1, n2, n3 in ranked:
+        s1 = sin_inc + (n1 * step if n1 else 0.0)
+        s2 = s1 + (n2 * step if n2 else 0.0)
+        if abs(s1) > 1.0 or abs(s2) > 1.0 or abs(s2 + (n3 * step if n3 else 0.0)) > 1.0:
+            continue
+        alpha1, alpha2 = math.asin(s1), math.asin(s2)
+        lower = math.tan(alpha1) + math.tan(alpha2)
         if lower < ratio < lower + width:
             # From this grating: rates 1 and 1.0 share a cache key but print apart.
             transmission = _transmission(probs, n1, n2, n3)
@@ -347,10 +335,22 @@ def path_census(
     counted from the sorted ratios by :func:`group_paths_by_geometry`'s rule,
     without building path records or groups.
     """
-    survivors = _propagating(setting, particle, grating, v, *_combinations(setting.order_magnitude))
-    ratios = sorted([path[5] for path in survivors])  # each survivor's d/s
+    sin_inc, step = _sines(setting, particle, grating, v)
+    total, asin, tan = setting.order_magnitude, math.asin, math.tan
+    ratios = []  # each survivor's d/s
+    for n1 in INTERNAL_ORDERS:
+        s1 = sin_inc + (n1 * step if n1 else 0.0)
+        if abs(s1) > 1.0:
+            continue
+        tan1 = tan(asin(s1))
+        for n2 in INTERNAL_ORDERS:
+            n3 = total - n1 - n2
+            s2 = s1 + (n2 * step if n2 else 0.0)
+            if abs(s2) > 1.0 or abs(s2 + (n3 * step if n3 else 0.0)) > 1.0:
+                continue
+            ratios.append(tan1 + tan(asin(s2)))
     groups, ref, limit = 0, 0.0, 0.0
-    for ratio in ratios:
+    for ratio in sorted(ratios):
         if not groups or not abs(ratio - ref) <= limit:
-            groups, ref, limit = groups + 1, ratio, _group_limit(ratio)
+            groups, ref, limit = groups + 1, ratio, GROUP_RTOL * max(1.0, abs(ratio))
     return len(INTERNAL_ORDERS) ** 2, len(ratios), groups

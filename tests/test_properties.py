@@ -210,6 +210,8 @@ probability_maps = st.dictionaries(
 @settings(max_examples=300, deadline=None)
 @example(theta_out=math.radians(85.0), n=-1, v=1000.0, ratio=10.0,
          probs=({0: 0.06, 1: 0.03, 2: 0.015}, {}))
+@example(theta_out=GRAZING_THETA_OUT, n=-1, v=572.0, ratio=10.0,
+         probs=({0: 0.1, 1: 0.5, 2: 0.1, 3: 1.0}, {}))
 @given(theta_out=st.just(math.radians(85.0))
        | st.floats(min_value=math.radians(1.0), max_value=GRAZING_THETA_OUT),
        n=st.sampled_from([0, 1, -1, -2, 3, 10**9, -10**9]),
@@ -234,6 +236,27 @@ def test_select_path_is_the_best_enumerated_feasible_path_over_the_default_sweep
     for v in range(300, 5001):
         assert (_outcome(select_path, setting, HELIUM, grating, float(v), device)
                 == _outcome(_best_enumerated_path, setting, grating, float(v), device))
+
+
+def test_select_path_skips_a_best_path_whose_exit_sine_rounds_above_one():
+    # The top-ranked (-1, -1, 3), rate 0.25, has both internal sines in [-1, 1] and a band
+    # holding l/s = 10, but its exit sine rounds to 1.0000000000000002: the third-sine test
+    # rejects it, and (1, -1, 1) fails its band, so the walk goes on to (-1, 1, 1).
+    setting = MonochromatorSetting(theta_out=GRAZING_THETA_OUT, total_order=-1)
+    grating = Grating(period=GRATING.period,
+                      reflection_probabilities={0: 0.1, 1: 0.5, 2: 0.1, 3: 1.0})
+    device = DeviceGeometry(separation=1.0, length=10.0)
+    assert select_path(setting, HELIUM, grating, 572.0, device).orders == (-1, 1, 1)
+
+
+def test_census_counts_the_groups_of_the_enumerated_records_over_the_default_sweep():
+    cfg = RunConfig.from_dict({})
+    setting, grating = cfg.setting(), cfg.grating()
+    assert cfg.particle() == HELIUM
+    for v in map(float, range(300, 5001)):
+        paths = enumerate_paths(setting, HELIUM, grating, v)
+        assert path_census(setting, HELIUM, grating, v) == (
+            25, len(paths), len(group_paths_by_geometry(paths)))
 
 
 diameters = st.floats(min_value=-12.0, max_value=3.0).map(lambda e: 10.0 ** e)
