@@ -82,13 +82,10 @@ __all__ = [
     "velocity_divergence",
 ]
 
-#: Names of the numpy kernel module, loaded on first access (PEP 562).
-_KERNEL_NAMES = frozenset({"BeamlineResult", "ScanRow", "scan_speed_ratio", "simulate_beam",
-                           "single_reflection_baseline", "trace_velocity"})
-
 
 def __getattr__(name):
-    if name not in _KERNEL_NAMES:
+    # Names of __all__ not bound above load the numpy kernel module (PEP 562).
+    if name not in __all__:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     from . import beamline
 

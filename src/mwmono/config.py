@@ -44,7 +44,8 @@ PRESETS: dict = {
 DEFAULT_CONFIG: dict = {
     "particle": "helium-4",
     "material": "si111-h1x1",
-    "setting": {"theta_out_deg": 85.0, "total_order": -1},
+    "setting": {"theta_out_deg": math.degrees(MonochromatorSetting.theta_out),
+                "total_order": MonochromatorSetting.total_order},
     "device": {"separation_mm": 5.0, "length_mm": 50.0},
     "beamline": {
         "source_pinhole": {"diameter_mm": 1.0},
@@ -53,7 +54,7 @@ DEFAULT_CONFIG: dict = {
             {"diameter_mm": 10.0, "distance_mm": 1000.0},
         ],
     },
-    "beam": {"v_center_mps": 1000.0, "v_width_mps": 500.0},
+    "beam": {"v_center_mps": 1000.0, "v_width_mps": BeamSpec.full_width},
     "sampling": {
         "velocity_bins": DEFAULT_VELOCITY_BINS,
         "offset_samples": DEFAULT_OFFSET_SAMPLES,

@@ -125,11 +125,10 @@ def diffraction_angle(
     """
     if not abs(theta_inc) < math.pi / 2:
         raise ValueError(f"|theta_inc| must be below pi/2, got {theta_inc}")
+    ratio = wavelength_ratio(particle, grating, v)
     if order == 0:
-        if not v > 0:
-            raise ValueError(f"velocity must be positive, got {v}")
         return theta_inc  # specular: exact, no sin/arcsin round trip
-    arg = math.sin(theta_inc) + order * wavelength_ratio(particle, grating, v)
+    arg = math.sin(theta_inc) + order * ratio
     if abs(arg) > 1.0:
         raise EvanescentOrderError(arg, order)
     return math.asin(arg)
@@ -148,9 +147,9 @@ def velocity_divergence(
     when the exit ray is within ``GRAZING_MARGIN`` of grazing, where the
     derivative diverges.
     """
+    q = order * wavelength_ratio(particle, grating, v)
     if order == 0:
         return 0.0
-    q = order * wavelength_ratio(particle, grating, v)
     arg = math.sin(theta_inc) + q
     if abs(arg) > 1.0:
         raise EvanescentOrderError(arg, order)

@@ -63,7 +63,7 @@ def test_acceptance_1_cutoff_velocities():
     assert report(1, "cutoff velocities 300/600/890 within 10 m/s", ok), (cuts, t.elapsed)
 
 
-def reference_census(v, max_order=2):
+def reference_census(v):
     """(considered, surviving, groups) at velocity v from the grating equation.
 
     The device leaves bounce i at sin(alpha_i) = cos(epsilon) + j_i * lambda / a
@@ -75,7 +75,7 @@ def reference_census(v, max_order=2):
     step = 2.0 * math.pi * HBAR / (HELIUM.mass * v * GRATING.period)
     cos_eps = math.cos(SETTING.epsilon)
     total = SETTING.order_magnitude
-    orders = range(-max_order, max_order + 1)
+    orders = range(-2, 3)  # the paper's internal orders, written apart from the package's
     indices = [(n1 - total, n1 + n2 - total) for n1 in orders for n2 in orders]
     alive = [js for js in indices if all(abs(cos_eps + j * step) <= 1.0 for j in js)]
     return len(indices), len(alive), len({frozenset(js) for js in alive})

@@ -99,6 +99,13 @@ class TestVelocityDivergence:
         for theta in (0.0, 0.5, 1.2):
             assert velocity_divergence(theta, 0, helium, grating, 777.0) == 0.0
 
+    @pytest.mark.parametrize("order", [0, 1])
+    @pytest.mark.parametrize("v", [-1.0, 0.0, math.nan])
+    def test_rejects_nonpositive_velocity_at_every_order(self, helium, grating, order, v):
+        with pytest.raises(ValueError) as info:
+            velocity_divergence(0.5, order, helium, grating, v)
+        assert str(info.value) == f"velocity must be positive, got {v}"
+
     def test_matches_finite_difference(self, helium, grating):
         h = 1e-3
         theta_inc = 0.6
