@@ -45,15 +45,12 @@ Only the rows the exit pinholes can pass are traced (:func:`_traced_rows`).
 Every passing ray leaves within a reach of the reference exit point (the
 plate length l in the device, where both exit points lie on [0, l]; the
 source radius over cos(theta_inc) in the baseline), so each pinhole farther
-than that reach times |sin(theta_ref)| bounds |tan(rel)| of a passing row,
-and so its exit sine to an interval.  The exit sine is computed for every
-row, with the same operations the rows use, and the traced rows run from the
-first to the last row whose sine lies in that interval, one more row on each
-side, plus the reference row.  Every length, the angle bound and the sine
-interval are widened far beyond rounding, and every row is traced when no
-pinhole gives a bound or when a row exiting opposite the reference (rel near
-+-pi) could pass.  So the rows left out count 0 on every cell as well, and
-every count, sum and output is that of tracing every row.
+than that reach times |sin(theta_ref)| bounds |tan(rel)| of a passing row.
+Every row's exit angle is computed, and a row is traced when its own
+|tan(rel)|, the value the pinhole cut reads, is within that bound, with
+every length widened far beyond rounding.  So the rows left out count 0 on
+every cell as well, and every count, sum and output is that of tracing every
+row.
 """
 
 from __future__ import annotations
@@ -112,26 +109,21 @@ class BeamlineResult:
         }
 
 
-def _exit_sines(theta_inc, orders, particle, grating, v):
-    """sin(angle) after each bounce of ``orders`` for every velocity in ``v``.
+def _exit_rows(theta_inc, orders, particle, grating, v):
+    """Angle after each bounce of ``orders`` for every velocity in ``v``, and which rows
+    propagate; evanescent rows get clipped angles.
 
     Each order shifts the sine by lambda/period = 2 pi hbar / (m a) / v.  A step that overflows
     (subnormal v, or m * a underflowing to 0; 0 * inf is NaN) gives a sine no row passes.
     """
     mass_period = particle.mass * grating.period
     step = (2.0 * math.pi * HBAR / mass_period if mass_period else math.inf) / v
-    sines, sine = [], math.sin(theta_inc)
+    angles, valid, sine = [], True, math.sin(theta_inc)
     for n in orders:
         sine = sine + n * step
-        sines.append(sine)
-    return sines
-
-
-def _exit_rows(sines):
-    """Angle after each bounce of the per-bounce ``sines`` of :func:`_exit_sines`, and which
-    rows propagate; evanescent rows get clipped angles."""
-    valid = np.logical_and.reduce([np.abs(sine) <= 1.0 for sine in sines])
-    return [np.arcsin(np.clip(sine, -1.0, 1.0)) for sine in sines], valid
+        valid = valid & (np.abs(sine) <= 1.0)
+        angles.append(np.arcsin(np.clip(sine, -1.0, 1.0)))
+    return angles, valid
 
 
 def _central_ray(rises, theta_exit, valid, length, x1):
@@ -167,8 +159,8 @@ def trace_velocity(
     x1 = entry_window / 2 + offset / math.cos(theta_inc)
     if entry_window <= 0 or not 0.0 <= x1 <= entry_window:
         return None
-    sines = _exit_sines(theta_inc, path.orders, particle, grating, np.array([v], dtype=float))
-    angles, valid = _exit_rows(sines)
+    angles, valid = _exit_rows(theta_inc, path.orders, particle, grating,
+                               np.array([v], dtype=float))
     rises = [device.separation * np.tan(a) for a in angles]
     return _central_ray(rises, angles[-1], valid, device.length, x1)
 
@@ -198,28 +190,25 @@ def _pinhole_bounds(theta_exit, theta_ref, pinholes):
     return lo, hi
 
 
-#: Relative and absolute slack of :func:`_traced_rows`, far above the rounding of the cuts.
+#: Relative slack of :func:`_traced_rows`' lengths, far above the rounding of the cuts.
 _ROWS_RTOL = 1e-9
-_ROWS_ATOL = 1e-12
 
 
-def _traced_rows(exit_sine, reach, pinholes):
-    """Index of the rows that can pass every pinhole: one contiguous run of rows, and the last
-    (reference) row.
+def _traced_rows(theta_exit, reach, pinholes):
+    """Index of the rows that can pass every pinhole, and of the last (reference) row.
 
-    ``exit_sine`` is each row's exit sine, monotone in the velocity, with the reference row
-    last; every passing ray leaves within ``reach`` of the reference exit point.  A row
-    passes pinhole k only if ``|dx * slope + L_k * tan(rel)| <= d_k / 2`` for some
-    ``|dx| <= reach`` (see :func:`_pinhole_bounds`), and ``|slope| <= |cos(theta_ref)| +
-    |sin(theta_ref)| * |tan(rel)|``, so ``|tan(rel)| <= (d_k / 2 + reach * |cos(theta_ref)|)
-    / (L_k - reach * |sin(theta_ref)|)`` wherever that divisor is positive.  With every
-    length widened by ``_ROWS_RTOL`` and the angle and the sines by ``_ROWS_ATOL``, this
-    keeps the exit angle near theta_ref, so the exit sine in an interval, unless rel can
-    come near +-pi, which takes ``|theta_ref| >= pi/2 - atan(bound)``.  Every row is
-    traced when no pinhole bounds rel, or when rel can come near +-pi.
+    ``theta_exit`` is each row's exit angle, with the reference row last; every passing ray
+    leaves within ``reach`` of the reference exit point.  A row passes pinhole k only if
+    ``|dx * slope + L_k * tan(rel)| <= d_k / 2`` for some ``|dx| <= reach`` (see
+    :func:`_pinhole_bounds`), and ``|slope| <= |cos(theta_ref)| + |sin(theta_ref)| *
+    |tan(rel)|``, so ``|tan(rel)| <= (d_k / 2 + reach * |cos(theta_ref)|) / (L_k - reach *
+    |sin(theta_ref)|)`` wherever that divisor is positive.  A row is kept when its own
+    |tan(rel)|, the value :func:`_pinhole_bounds` computes, is within the least of these
+    bounds, with every length widened by ``_ROWS_RTOL``.  tan has period pi, so rows exiting
+    opposite the reference (rel near +-pi) are kept as the bound says; with no bound, every
+    finite row is kept.
     """
-    last = exit_sine.size - 1
-    theta_ref = math.asin(exit_sine[-1]) if abs(exit_sine[-1]) <= 1.0 else math.nan
+    theta_ref = theta_exit[-1]
     cos_ref, sin_ref = abs(math.cos(theta_ref)), abs(math.sin(theta_ref))
     reach *= 1.0 + _ROWS_RTOL
     bound = math.inf
@@ -227,15 +216,9 @@ def _traced_rows(exit_sine, reach, pinholes):
         divisor = ph.distance * (1.0 - _ROWS_RTOL) - reach * sin_ref
         if divisor > 0.0:
             bound = min(bound, (ph.diameter / 2 * (1.0 + _ROWS_RTOL) + reach * cos_ref) / divisor)
-    half = math.atan(bound) + _ROWS_ATOL  # the widest |rel| of a passing row
-    if not abs(theta_ref) + half < math.pi / 2:
-        return np.arange(last + 1)
-    lo = math.sin(theta_ref - half) - _ROWS_ATOL
-    hi = math.sin(theta_ref + half) + _ROWS_ATOL
-    inside = np.flatnonzero((exit_sine[:-1] >= lo) & (exit_sine[:-1] <= hi))
-    if not inside.size:
-        return np.array([last])
-    return np.append(np.arange(max(inside[0] - 1, 0), min(inside[-1] + 2, last)), last)
+    keep = np.abs(np.tan(theta_exit - theta_ref)) <= bound
+    keep[-1] = True
+    return np.flatnonzero(keep)
 
 
 def _row_counts(valid, x, lo, hi, gap=None):
@@ -337,9 +320,9 @@ def _counts(velocities, offsets, vbar, theta_inc, orders, particle, grating, pin
         # The entry window depends on the offset alone: keep the columns in front.
         column = entry_window / 2 + column
         column = column[(column >= 0.0) & (column <= entry_window)]
-    sines = _exit_sines(theta_inc, orders, particle, grating, np.append(velocities, vbar))
-    rows = _traced_rows(sines[-1], reach, pinholes)
-    angles, valid = _exit_rows([sine[rows] for sine in sines])
+    angles, valid = _exit_rows(theta_inc, orders, particle, grating, np.append(velocities, vbar))
+    rows = _traced_rows(angles[-1], reach, pinholes)
+    angles, valid = [angle[rows] for angle in angles], valid[rows]
     theta_exit = angles[-1]
     if device is None:
         if not valid[-1]:

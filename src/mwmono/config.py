@@ -10,6 +10,7 @@ domain objects.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -92,7 +93,8 @@ def _check_shape(value, template, path: str = "") -> None:
     """Raise unless ``value`` has the keys and value types of ``template``.
 
     Each list item is shaped like the template's first; booleans are not
-    numbers, integers must be ``int`` and numbers finite.
+    numbers, integers must be ``int`` and a number in a float field must convert
+    to a finite float.
     """
     where = path or "<root>"
     if isinstance(template, str) and isinstance(value, dict):
@@ -100,7 +102,7 @@ def _check_shape(value, template, path: str = "") -> None:
     kind, name = _KINDS[type(template)]
     if isinstance(value, bool) or not isinstance(value, kind) or value == []:
         raise _invalid(where, f"expected {name}, got {value!r}")
-    if isinstance(value, float) and not math.isfinite(value):
+    if isinstance(template, float) and not abs(value) <= sys.float_info.max:
         raise _invalid(where, f"expected a finite number, got {value!r}")
     if isinstance(value, list):
         for i, item in enumerate(value):
@@ -121,7 +123,7 @@ def read_config(path: str | Path) -> dict:
 
     try:
         raw = yaml.safe_load(Path(path).read_text())
-    except (OSError, ValueError, yaml.YAMLError) as exc:
+    except (OSError, RecursionError, ValueError, yaml.YAMLError) as exc:
         raise ConfigurationError(f"cannot read config {path}: {exc}") from None
     if raw is None:
         return {}

@@ -75,6 +75,46 @@ class TestConfig:
         assert entrypoint(["simulate", "--config", str(cfg)]) == 2
         assert capsys.readouterr().err == f"config error: config {cfg} must be a mapping\n"
 
+    @pytest.mark.parametrize("text", ["[" * 50_000 + "]" * 50_000,
+                                      "{b: " * 50_000 + "1" + "}" * 50_000])
+    @pytest.mark.parametrize("command", [["simulate"], ["paths", "--v", "1000"]])
+    def test_deeply_nested_file_exits_2(self, tmp_path, capsys, text, command):
+        # The YAML parser recurses once per level, past Python's recursion limit.
+        cfg = tmp_path / "deep.yaml"
+        cfg.write_text(text)
+        assert entrypoint([*command, "--config", str(cfg)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith(f"config error: cannot read config {cfg}: ")
+
+    @pytest.mark.parametrize("text, key", [
+        ("device: {separation_mm: %s}", "device/separation_mm"),
+        ("device: {length_mm: %s}", "device/length_mm"),
+        ("setting: {theta_out_deg: %s}", "setting/theta_out_deg"),
+        ("beamline: {source_pinhole: {diameter_mm: %s}}", "beamline/source_pinhole/diameter_mm"),
+        ("beamline: {exit_pinholes: [{diameter_mm: %s, distance_mm: 500}]}",
+         "beamline/exit_pinholes/0/diameter_mm"),
+        ("beamline: {exit_pinholes: [{diameter_mm: 10, distance_mm: %s}]}",
+         "beamline/exit_pinholes/0/distance_mm"),
+        ("particle: {mass_kg: %s}", "particle/mass_kg"),
+        ("material: {period_angstrom: %s, reflection_probabilities: {'1': 0.03}}",
+         "material/period_angstrom"),
+        ("material: {period_angstrom: 3.383, reflection_probabilities: {'1': %s}}",
+         "material/reflection_probabilities/1"),
+        ("beam: {v_center_mps: %s}", "beam/v_center_mps"),
+        ("beam: {v_width_mps: %s}", "beam/v_width_mps"),
+        ("baseline: {theta_inc_deg: %s}", "baseline/theta_inc_deg"),
+    ])
+    @pytest.mark.parametrize("command", [["simulate"], ["paths", "--v", "1000"]])
+    def test_integer_too_large_for_a_float_exits_2(self, tmp_path, capsys, text, key, command):
+        # A float field takes integers too, but 400 digits overflow a float.
+        cfg = tmp_path / "huge.yaml"
+        cfg.write_text(text % ("9" * 400) + "\n")
+        assert entrypoint([*command, "--config", str(cfg)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith(f"config error: invalid config at {key}: expected a finite number")
+
     @pytest.mark.parametrize("text, command, flags, section, got", [
         ("setting: 5", ["paths", "--v", "1000"], ["--theta-out-deg", "80"], "setting", "5"),
         ("beam: [1, 2]", ["simulate"], ["--v-center", "2000", "--v-width", "100"], "beam",
