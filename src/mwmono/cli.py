@@ -78,7 +78,7 @@ def _no_result(what: str, labels) -> MonochromatorError:
     return MonochromatorError(f"{what} ({counts})")
 
 
-#: Most velocities one table or scan may list.
+#: Most velocities one table or scan may list, and most rows of one order table.
 MAX_GRID_POINTS = 1_000_000
 
 
@@ -152,6 +152,11 @@ def _order_table(name, column, value, doc):
     """Register a table command filling ``column`` of each (order, velocity) row
     with ``value(theta_inc, |order|, particle, grating, v)``; exit 3 if no row is ok."""
     def table(cfg, out, fmt, orders, velocities):
+        if len(orders) * len(velocities) > MAX_GRID_POINTS:
+            raise ConfigurationError(
+                f"{len(orders)} orders x {len(velocities)} velocities exceed the limit of "
+                f"{MAX_GRID_POINTS} table rows"
+            )
         p, g, base = cfg.particle(), cfg.grating(), cfg.setting()
         rows = []
         for n in orders:

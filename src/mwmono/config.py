@@ -9,6 +9,7 @@ domain objects.
 
 from __future__ import annotations
 
+import copy
 import math
 import sys
 from dataclasses import dataclass
@@ -142,7 +143,8 @@ class RunConfig:
     def from_dict(cls, *layers: dict) -> "RunConfig":
         """Merge ``layers`` over the defaults in turn, checking the shape after each, so a
         later layer (the flags) cannot hide a mistyped section of an earlier one (the file);
-        then build every domain object.
+        then build every domain object.  The config keeps a copy of every mapping and list,
+        so neither the defaults nor a caller's layers share its data.
 
         The beam is checked for its width alone: a scan takes each centre from its grid,
         so the configured centre is checked where :meth:`beam` builds the beam.
@@ -151,7 +153,7 @@ class RunConfig:
         for layer in layers:
             merged = _merge(merged, layer or {})
             _check_shape(merged, DEFAULT_CONFIG)
-        cfg = cls(data=merged)
+        cfg = cls(data=copy.deepcopy(merged))
         for section, build in [
             ("particle", cfg.particle), ("material", cfg.grating), ("setting", cfg.setting),
             ("device", cfg.device), ("beamline", cfg.beamline), ("beam", lambda: cfg.beam_width),

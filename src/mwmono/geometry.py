@@ -8,7 +8,8 @@ transmission rate, the product of the per-bounce diffraction populations.
 The device realizes the most transmissive path whose l/s band holds its own
 l/s ratio (:func:`select_path`, a walk of a flat best-first ranking).  Each of
 the three walkers loops over the candidates itself, with the same float
-expressions in the same order, so their angles and ratios agree bit for bit.
+expressions in the same order, so their angles and ratios agree bit for bit; the census
+and enumeration build the five (n, shift) pairs of :data:`INTERNAL_ORDERS` once per call.
 
 The beamline's domain objects (beam, pinholes, beamline), the sampling
 grid's bounds and the baseline's defaults live here too, so that selecting a
@@ -185,7 +186,7 @@ def _sines(setting, particle, grating, v):
 
     Each walker writes that shift as ``n * step if n else 0.0``: the specular shift is 0.0,
     not 0 * step, which is nan once the momentum underflows and the step is inf.  A sine is
-    rejected by ``abs(s) > 1.0``, so NaN passes.
+    rejected by ``s > 1.0 or s < -1.0``; both comparisons are false for NaN, so NaN passes.
     """
     theta_inc = incidence_for_output(setting, particle, grating, v)
     return math.sin(theta_inc), wavelength_ratio(particle, grating, v)
@@ -205,17 +206,19 @@ def enumerate_paths(
     """
     sin_inc, step = _sines(setting, particle, grating, v)
     total, probs = setting.order_magnitude, grating.reflection_probabilities
+    shifts = [(n, n * step if n else 0.0) for n in INTERNAL_ORDERS]
     paths = []
-    for n1 in INTERNAL_ORDERS:
-        s1 = sin_inc + (n1 * step if n1 else 0.0)
-        if abs(s1) > 1.0:
+    for n1, shift1 in shifts:
+        s1 = sin_inc + shift1
+        if s1 > 1.0 or s1 < -1.0:
             continue
-        alpha1 = math.asin(s1)
+        alpha1, rest = math.asin(s1), total - n1
         tan1 = math.tan(alpha1)
-        for n2 in INTERNAL_ORDERS:
-            n3 = total - n1 - n2
-            s2 = s1 + (n2 * step if n2 else 0.0)
-            if abs(s2) > 1.0 or abs(s2 + (n3 * step if n3 else 0.0)) > 1.0:
+        for n2, shift2 in shifts:
+            s2 = s1 + shift2
+            n3 = rest - n2
+            s3 = s2 + (n3 * step if n3 else 0.0)
+            if s2 > 1.0 or s2 < -1.0 or s3 > 1.0 or s3 < -1.0:
                 continue
             alpha2 = math.asin(s2)
             paths.append(DiffractionPath(n1, n2, n3, alpha1, alpha2, tan1 + math.tan(alpha2),
@@ -278,14 +281,16 @@ def select_path(
     for n1, n2, n3 in ranked:
         s1 = sin_inc + (n1 * step if n1 else 0.0)
         s2 = s1 + (n2 * step if n2 else 0.0)
-        if abs(s1) > 1.0 or abs(s2) > 1.0 or abs(s2 + (n3 * step if n3 else 0.0)) > 1.0:
+        s3 = s2 + (n3 * step if n3 else 0.0)
+        if s1 > 1.0 or s1 < -1.0 or s2 > 1.0 or s2 < -1.0 or s3 > 1.0 or s3 < -1.0:
             continue
         alpha1, alpha2 = math.asin(s1), math.asin(s2)
         lower = math.tan(alpha1) + math.tan(alpha2)
         if lower < ratio < lower + width:
-            # From this grating: rates 1 and 1.0 share a cache key but print apart.
-            transmission = _transmission(probs, n1, n2, n3)
-            return DiffractionPath(n1, n2, n3, alpha1, alpha2, lower, transmission)
+            # _transmission's product, from this grating: rates 1 and 1.0 share a cache key
+            # but print apart.  Every ranked candidate defines all three rates.
+            transmission = probs[abs(n1)] * probs[abs(n2)] * probs[abs(n3)]
+            return tuple.__new__(DiffractionPath, (n1, n2, n3, alpha1, alpha2, lower, transmission))
     raise EmptyTransmissionError(f"no feasible path at v = {v} m/s for l/s = {ratio:.3g}")
 
 
@@ -337,20 +342,24 @@ def path_census(
     """
     sin_inc, step = _sines(setting, particle, grating, v)
     total, asin, tan = setting.order_magnitude, math.asin, math.tan
+    shifts = [(n, n * step if n else 0.0) for n in INTERNAL_ORDERS]
     ratios = []  # each survivor's d/s
-    for n1 in INTERNAL_ORDERS:
-        s1 = sin_inc + (n1 * step if n1 else 0.0)
-        if abs(s1) > 1.0:
+    for n1, shift1 in shifts:
+        s1 = sin_inc + shift1
+        if s1 > 1.0 or s1 < -1.0:
             continue
-        tan1 = tan(asin(s1))
-        for n2 in INTERNAL_ORDERS:
-            n3 = total - n1 - n2
-            s2 = s1 + (n2 * step if n2 else 0.0)
-            if abs(s2) > 1.0 or abs(s2 + (n3 * step if n3 else 0.0)) > 1.0:
+        tan1, rest = tan(asin(s1)), total - n1
+        for n2, shift2 in shifts:
+            s2 = s1 + shift2
+            n3 = rest - n2
+            s3 = s2 + (n3 * step if n3 else 0.0)
+            if s2 > 1.0 or s2 < -1.0 or s3 > 1.0 or s3 < -1.0:
                 continue
             ratios.append(tan1 + tan(asin(s2)))
+    ratios.sort()
     groups, ref, limit = 0, 0.0, 0.0
-    for ratio in sorted(ratios):
+    for ratio in ratios:
         if not groups or not abs(ratio - ref) <= limit:
-            groups, ref, limit = groups + 1, ratio, GROUP_RTOL * max(1.0, abs(ratio))
+            size = abs(ratio)
+            groups, ref, limit = groups + 1, ratio, GROUP_RTOL * (size if size > 1.0 else 1.0)
     return len(INTERNAL_ORDERS) ** 2, len(ratios), groups

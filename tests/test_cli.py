@@ -183,6 +183,31 @@ class TestConfig:
         assert out == "" and err.count("\n") == 1
         assert f"invalid config at {path}" in err
 
+    def test_config_shares_no_data_with_the_defaults(self):
+        saved, dumped = copy.deepcopy(DEFAULT_CONFIG), invoke(["--dump-default-config"]).output
+        try:
+            cfg = RunConfig.from_dict({})
+            cfg.data["device"]["length_mm"] = 1.0
+            cfg.data["beamline"]["exit_pinholes"][0]["diameter_mm"] = 2.0
+            assert DEFAULT_CONFIG == saved
+            assert invoke(["--dump-default-config"]).output == dumped
+            assert RunConfig.from_dict({}).data == saved
+        finally:
+            DEFAULT_CONFIG.clear()
+            DEFAULT_CONFIG.update(saved)
+
+    def test_config_shares_no_data_with_its_layers(self):
+        layer = {"particle": {"mass_kg": 5e-27},
+                 "beamline": {"exit_pinholes": [{"diameter_mm": 2.0, "distance_mm": 300.0}]}}
+        pristine = copy.deepcopy(layer)
+        cfg = RunConfig.from_dict(layer)
+        layer["particle"]["mass_kg"] = 1.0
+        layer["beamline"]["exit_pinholes"][0]["diameter_mm"] = 4.0
+        layer["beamline"]["exit_pinholes"].append({"diameter_mm": 2.0, "distance_mm": 600.0})
+        expected = RunConfig.from_dict(pristine)
+        assert cfg.data == expected.data
+        assert cfg.beamline() == expected.beamline()
+        assert cfg.particle() == expected.particle()
 
     def test_every_config_key_changes_the_outcome(self, tmp_path, capsys):
         # A key that no computation reads is dead config.  Each value is valid
@@ -681,6 +706,26 @@ class TestGridBounds:
     def test_grid_keeps_an_endpoint_lost_to_rounding(self):
         # (0.3 - 0.1) / 0.1 is 1.9999999999999996 steps; the last point is kept.
         assert _velocity_grid(0.1, 0.3, 0.1) == [0.1, 0.2, 0.30000000000000004]
+
+    @pytest.mark.parametrize("command", ["incidence-table", "divergence-table"])
+    def test_oversized_order_table_exits_2(self, capsys, command):
+        orders = ",".join(["1"] * 1001)
+        grid = ["--v-min", "1000", "--v-max", "1999", "--v-step", "1"]
+        assert entrypoint([command, "--orders", orders, *grid]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("config error: 1001 orders x 1000 velocities exceed the limit of "
+                       "1000000 table rows\n")
+
+    @pytest.mark.parametrize("command", ["incidence-table", "divergence-table"])
+    def test_order_table_may_fill_the_row_limit(self, monkeypatch, capsys, command):
+        monkeypatch.setattr("mwmono.cli.MAX_GRID_POINTS", 6)
+        grid = ["--v-min", "1000", "--v-max", "1200", "--v-step", "100"]
+        assert entrypoint([command, "--orders", "1,2", *grid]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 1 + 6
+        assert entrypoint([command, "--orders", "1,2,3", *grid]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "3 orders x 3 velocities exceed the limit of 6 table rows" in err
 
     @pytest.mark.parametrize("key, limit", [
         ("velocity_bins", MAX_VELOCITY_BINS), ("offset_samples", MAX_OFFSET_SAMPLES),
