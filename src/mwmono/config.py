@@ -120,10 +120,17 @@ def _check_shape(value, template, path: str = "") -> None:
 
 def read_config(path: str | Path) -> dict:
     """The mapping in a YAML or JSON file, unvalidated; an empty file gives {}."""
+    import re
+
     import yaml  # only here and in dump_default_config: most commands read no file
 
+    class Loader(yaml.SafeLoader):
+        """YAML 1.1, plus floats as JSON writes them: 5e-27, 1e-05, 1.5e2, 1E+2."""
+
+    Loader.add_implicit_resolver("tag:yaml.org,2002:float", re.compile(
+        r"^[-+]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)[eE][-+]?[0-9]+$"), list("-+0123456789."))
     try:
-        raw = yaml.safe_load(Path(path).read_text())
+        raw = yaml.load(Path(path).read_text(), Loader)
     except (OSError, RecursionError, ValueError, yaml.YAMLError) as exc:
         raise ConfigurationError(f"cannot read config {path}: {exc}") from None
     if raw is None:

@@ -51,16 +51,17 @@ class TestConfig:
         assert cfg.baseline_order == BASELINE_ORDER
 
     def test_json_config_accepted(self, tmp_path):
-        cfg = tmp_path / "run.json"
-        cfg.write_text(json.dumps({"beam": {"v_center_mps": 800.0}}))
-        loaded = RunConfig.from_file(cfg)
-        assert loaded.beam().center_velocity == 800.0
-
-    def test_invalid_config_exits_2(self, tmp_path):
-        cfg = tmp_path / "bad.yaml"
-        cfg.write_text("beam:\n  v_center_mps: -5\n")
-        code = entrypoint(["simulate", "--config", str(cfg)])
-        assert code == 2
+        # json.dump writes 5e-27 and 1e-05 without a dot, which YAML 1.1 reads as strings.
+        cfg, decimals = tmp_path / "run.json", tmp_path / "run.yaml"
+        cfg.write_text(json.dumps({"particle": {"mass_kg": 5e-27}, "beam": {"v_center_mps": 800.0},
+                                   "beamline": {"source_pinhole": {"diameter_mm": 1e-05}}}))
+        decimals.write_text("particle: {mass_kg: 0.000000000000000000000000005}\n"
+                            "beam: {v_center_mps: 800.0}\n"
+                            "beamline: {source_pinhole: {diameter_mm: 0.00001}}\n")
+        assert RunConfig.from_file(cfg).beam().center_velocity == 800.0
+        result = invoke(["simulate", "--config", str(cfg)])
+        assert result.exit_code == 0
+        assert result.stdout_bytes == invoke(["simulate", "--config", str(decimals)]).stdout_bytes
 
     def test_empty_file_is_the_defaults(self, tmp_path):
         cfg = tmp_path / "empty.yaml"
@@ -68,120 +69,6 @@ class TestConfig:
         result = invoke(["simulate", "--config", str(cfg)])
         assert result.exit_code == 0
         assert result.stdout_bytes == invoke(["simulate"]).stdout_bytes
-
-    def test_file_holding_a_list_exits_2(self, tmp_path, capsys):
-        cfg = tmp_path / "list.yaml"
-        cfg.write_text("- 1\n- 2\n")
-        assert entrypoint(["simulate", "--config", str(cfg)]) == 2
-        assert capsys.readouterr().err == f"config error: config {cfg} must be a mapping\n"
-
-    @pytest.mark.parametrize("text", ["[" * 50_000 + "]" * 50_000,
-                                      "{b: " * 50_000 + "1" + "}" * 50_000])
-    @pytest.mark.parametrize("command", [["simulate"], ["paths", "--v", "1000"]])
-    def test_deeply_nested_file_exits_2(self, tmp_path, capsys, text, command):
-        # The YAML parser recurses once per level, past Python's recursion limit.
-        cfg = tmp_path / "deep.yaml"
-        cfg.write_text(text)
-        assert entrypoint([*command, "--config", str(cfg)]) == 2
-        out, err = capsys.readouterr()
-        assert out == "" and err.count("\n") == 1
-        assert err.startswith(f"config error: cannot read config {cfg}: ")
-
-    @pytest.mark.parametrize("text, key", [
-        ("device: {separation_mm: %s}", "device/separation_mm"),
-        ("device: {length_mm: %s}", "device/length_mm"),
-        ("setting: {theta_out_deg: %s}", "setting/theta_out_deg"),
-        ("beamline: {source_pinhole: {diameter_mm: %s}}", "beamline/source_pinhole/diameter_mm"),
-        ("beamline: {exit_pinholes: [{diameter_mm: %s, distance_mm: 500}]}",
-         "beamline/exit_pinholes/0/diameter_mm"),
-        ("beamline: {exit_pinholes: [{diameter_mm: 10, distance_mm: %s}]}",
-         "beamline/exit_pinholes/0/distance_mm"),
-        ("particle: {mass_kg: %s}", "particle/mass_kg"),
-        ("material: {period_angstrom: %s, reflection_probabilities: {'1': 0.03}}",
-         "material/period_angstrom"),
-        ("material: {period_angstrom: 3.383, reflection_probabilities: {'1': %s}}",
-         "material/reflection_probabilities/1"),
-        ("beam: {v_center_mps: %s}", "beam/v_center_mps"),
-        ("beam: {v_width_mps: %s}", "beam/v_width_mps"),
-        ("baseline: {theta_inc_deg: %s}", "baseline/theta_inc_deg"),
-    ])
-    @pytest.mark.parametrize("command", [["simulate"], ["paths", "--v", "1000"]])
-    def test_integer_too_large_for_a_float_exits_2(self, tmp_path, capsys, text, key, command):
-        # A float field takes integers too, but 400 digits overflow a float.
-        cfg = tmp_path / "huge.yaml"
-        cfg.write_text(text % ("9" * 400) + "\n")
-        assert entrypoint([*command, "--config", str(cfg)]) == 2
-        out, err = capsys.readouterr()
-        assert out == "" and err.count("\n") == 1
-        assert err.startswith(f"config error: invalid config at {key}: expected a finite number")
-
-    @pytest.mark.parametrize("text, command, flags, section, got", [
-        ("setting: 5", ["paths", "--v", "1000"], ["--theta-out-deg", "80"], "setting", "5"),
-        ("beam: [1, 2]", ["simulate"], ["--v-center", "2000", "--v-width", "100"], "beam",
-         "[1, 2]"),
-    ])
-    def test_flags_do_not_hide_a_mistyped_section(self, tmp_path, capsys, text, command, flags,
-                                                  section, got):
-        # The file is checked before the flags are merged over it.
-        cfg = tmp_path / "typo.yaml"
-        cfg.write_text(text + "\n")
-        for extra in ([], flags):
-            assert entrypoint([*command, "--config", str(cfg), *extra]) == 2
-            assert capsys.readouterr() == (
-                "", f"config error: invalid config at {section}: expected a mapping, got {got}\n"
-            )
-
-    def test_unknown_preset_exits_2(self, tmp_path, capsys):
-        cfg = tmp_path / "preset.yaml"
-        cfg.write_text("material: nope\n")
-        for section, known, args in [
-            ("particle", "['helium-3', 'helium-4']", ["--particle", "nope"]),
-            ("material", "['si111-h1x1']", ["--config", str(cfg)]),
-        ]:
-            assert entrypoint(["paths", "--v", "1000", *args]) == 2
-            assert capsys.readouterr().err == (f"config error: invalid config at {section}: "
-                                               f"unknown {section} preset 'nope'; known: {known}\n")
-
-    @pytest.mark.parametrize("text, path", [
-        ("bogus: 1", "<root>"),
-        ("setting: {bogus: 1}", "setting"),
-        ("beamline: {exit_pinholes: [{diameter_mm: 10, distance_mm: 500, bogus: 1}]}",
-         "beamline/exit_pinholes/0"),
-        ("device: {separation_mm: five}", "device/separation_mm"),
-        ("device: {length_mm: true}", "device/length_mm"),
-        ("beam: {v_width_mps: 0}", "beam"),
-        ("device: {separation_mm: -1.0}", "device"),
-        ("setting: {theta_out_deg: 90}", "setting"),
-        ("baseline: {theta_inc_deg: 0}", "baseline/theta_inc_deg"),
-        ("beamline: {exit_pinholes: []}", "beamline/exit_pinholes"),
-        ("beamline: {exit_pinholes: [{diameter_mm: 10}]}", "beamline/exit_pinholes/0"),
-        ("material: {period_angstrom: 3.383, reflection_probabilities: {x: 0.5}}", "material"),
-        ("material: {period_angstrom: 3.383, reflection_probabilities: {'1': 1.5}}", "material"),
-        # "1" and "01" both name order 1; keeping either would change the throughput.
-        ("material: {period_angstrom: 3.383,"
-         " reflection_probabilities: {'0': 0.06, '1': 0.03, '01': 0.5, '2': 0.015}}",
-         "material: two reflection probability keys name |order| = 1"),
-        ("sampling: {velocity_bins: 2}", "sampling"),
-        ("sampling: {offset_samples: 10002}", "sampling"),
-        # Values that a JSON-schema type and range check lets through.
-        ("sampling: {velocity_bins: 201.0}", "sampling/velocity_bins"),
-        ("beam: {v_center_mps: .nan}", "beam/v_center_mps"),
-        ("beam: {v_center_mps: .inf}", "beam/v_center_mps"),
-        ("beamline: {exit_pinholes: [{diameter_mm: 10, distance_mm: 1000},"
-         " {diameter_mm: 10, distance_mm: 500}]}", "beamline"),
-        # The source aperture has a width only, and a custom particle a mass only.
-        ("beamline: {source_pinhole: {diameter_mm: 1.0, distance_mm: 100.0}}",
-         "beamline/source_pinhole: unknown key 'distance_mm'"),
-        ("particle: {mass_kg: 6.6e-27, name: x}", "particle: unknown key 'name'"),
-        ("beamline: {source_pinhole: {diameter_mm: 0}}", "beamline"),
-    ])
-    def test_invalid_config_names_its_path(self, tmp_path, capsys, text, path):
-        cfg = tmp_path / "bad.yaml"
-        cfg.write_text(text + "\n")
-        assert entrypoint(["simulate", "--config", str(cfg)]) == 2
-        out, err = capsys.readouterr()
-        assert out == "" and err.count("\n") == 1
-        assert f"invalid config at {path}" in err
 
     def test_config_shares_no_data_with_the_defaults(self):
         saved, dumped = copy.deepcopy(DEFAULT_CONFIG), invoke(["--dump-default-config"]).output
@@ -307,13 +194,6 @@ class TestIncidenceTable:
         assert first_ok[2] == pytest.approx(600.0, abs=10.0)
         assert first_ok[3] == pytest.approx(890.0, abs=10.0)
 
-    def test_all_below_cutoff_exits_3(self):
-        code = entrypoint([
-            "incidence-table", "--orders", "1",
-            "--v-min", "100", "--v-max", "200", "--v-step", "50",
-        ])
-        assert code == 3
-
     def test_zero_order_at_underflowed_momentum(self):
         # m * v underflows to 0, so the wavelength is inf; order 0 stays specular.
         result = invoke([
@@ -323,11 +203,6 @@ class TestIncidenceTable:
         assert result.output.split("\n")[1:3] == [
             "1e-309,0,85.0,ok", "1e-309,1,,below_cutoff",
         ]
-
-    @pytest.mark.parametrize("orders", ["x", "1,x", "1.5", "nan"])
-    def test_non_integer_orders_exit_2(self, capsys, orders):
-        assert entrypoint(["incidence-table", "--orders", orders]) == 2
-        assert "--orders" in capsys.readouterr().err
 
 
 class TestDivergenceTable:
@@ -369,13 +244,6 @@ class TestDivergenceTable:
         for (v, n, d, status), (v_neg, n_neg, d_neg, status_neg) in zip(pos_rows, neg_rows):
             assert (v_neg, int(n_neg), d_neg, status_neg) == (v, -int(n), d, status)
         assert any(row[3] == "ok" for row in pos_rows)
-
-
-    def test_grazing_exit_is_flagged(self, capsys):
-        # At a grazing exit the derivative's arcsin argument is too close to 1.
-        assert entrypoint(["divergence-table", "--orders", "1", "--v-min", "1000",
-                           "--v-max", "1000", "--theta-out-deg", "89.9999999"]) == 3
-        assert capsys.readouterr().out.split("\n")[1] == "1000.0,1,,GrazingSingularityError"
 
 
 class TestPaths:
@@ -460,15 +328,6 @@ class TestSimulateAndScan:
         second = invoke(args).output
         assert first == second
 
-    def test_infeasible_simulate_exits_3(self):
-        assert entrypoint(["simulate", "--v-center", "290", "--v-width", "20"]) == 3
-
-    def test_below_cutoff_message(self, capsys):
-        assert entrypoint(["simulate", "--v-center", "200", "--v-width", "100"]) == 3
-        assert capsys.readouterr().err == (
-            "infeasible: velocity 200.0 m/s below cutoff for |order| = 1 (cutoff 295.8 m/s)\n"
-        )
-
     def test_huge_velocities_give_valid_json(self):
         # Squared deviations of about 1e159 m/s once overflowed to Infinity.
         result = invoke(["simulate", "--v-center", "1e160", "--v-width", "1e159",
@@ -480,41 +339,6 @@ class TestSimulateAndScan:
 
         payload = json.loads(result.output, parse_constant=reject)
         assert math.isfinite(payload["delta_v_std_mps"])
-
-    def test_overflowing_beam_exits_2(self, capsys):
-        # The top of the velocity axis, 1e308 + 8e307, overflows to Infinity.
-        assert entrypoint(["simulate", "--v-center", "1e308", "--v-width", "1.6e308",
-                           "--theta-out-deg", "75"]) == 2
-        assert "invalid config at beam: " in capsys.readouterr().err
-
-    @pytest.mark.parametrize("args", [
-        ["simulate", "--v-center", "1000"],
-        ["scan", "--v-min", "1000", "--v-max", "1000"],
-    ])
-    def test_width_below_bin_spacing_exits_2(self, capsys, args):
-        # All 2001 bins round to 1000 m/s; the zero FWHM printed an infinite
-        # speed ratio, which is not JSON.
-        assert entrypoint([*args, "--v-width", "1e-300", "--theta-out-deg", "75"]) == 2
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert "config error: beam width 1e-300 m/s cannot be split into 2001" in err
-
-    def test_split_is_checked_before_the_cutoff(self, capsys):
-        # 200 m/s is below the 295.8 m/s cutoff, but the width is checked first.
-        message = ("config error: beam width 1e-300 m/s cannot be split into 2001 distinct "
-                   "velocity bins at 200.0 m/s\n")
-        for args in (["simulate", "--v-center", "200"],
-                     ["scan", "--v-min", "200", "--v-max", "200"]):
-            assert entrypoint([*args, "--v-width", "1e-300"]) == 2
-            assert capsys.readouterr() == ("", message)
-
-    @pytest.mark.filterwarnings("error")
-    def test_overflowing_plate_gap_blocks_the_central_ray(self, tmp_path, capsys):
-        # The rises of a 1e300 mm gap overflow to infinity inside the kernel.
-        cfg = tmp_path / "wide_gap.yaml"
-        cfg.write_text("device: {separation_mm: 1.0e+300}\n")
-        assert entrypoint(["simulate", "--v-center", "300", "--config", str(cfg)]) == 3
-        assert capsys.readouterr() == ("", "infeasible: central ray blocked inside the device\n")
 
     @pytest.mark.filterwarnings("error")
     def test_overflowing_pinhole_bounds_pass_every_ray(self, tmp_path):
@@ -538,21 +362,6 @@ class TestSimulateAndScan:
         assert lines[1].startswith("1000.0,2.0,") and lines[1].endswith(",")
         assert lines[2:] == ["5e+19,1e+17,,,,invalid_center", "1e+20,2e+17,,,,invalid_center"]
 
-    @pytest.mark.parametrize("command", [
-        ["simulate"],
-        ["scan", "--v-min", "1000", "--v-max", "1000"],
-        # Every centre is at most half the width, so no row reaches the baseline.
-        ["scan", "--v-min", "100", "--v-max", "200", "--v-step", "100"],
-    ])
-    def test_baseline_order_without_probability_exits_2(self, tmp_path, capsys, command):
-        cfg = tmp_path / "baseline.yaml"
-        cfg.write_text("baseline: {order: -3}\n")
-        assert entrypoint([*command, "--config", str(cfg)]) == 2
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert ("invalid config at baseline/order: no reflection probability for |order| = 3"
-                in err)
-
     @pytest.mark.parametrize("text, flag", [
         ("particle: {mass_kg: 5.0082343e-27}", ["--particle", "helium-3"]),
         ("material: {period_angstrom: 3.383,"
@@ -571,22 +380,6 @@ class TestSimulateAndScan:
         assert custom.exit_code == preset.exit_code == 0
         assert custom.stdout_bytes == preset.stdout_bytes
 
-    @pytest.mark.parametrize("args", [
-        ["simulate", "--format", "csv"],
-        ["incidence-table", "--order", "2"],
-        ["divergence-table", "--order", "2"],
-        ["paths", "--v-center", "2000", "--v", "1000"],
-        ["incidence-table", "--v-width", "100"],
-        ["divergence-table", "--v-center", "2000"],
-        ["simulate", "--material", "si111-h1x1"],
-        ["scan", "--v-center", "1500"],
-    ])
-    def test_flags_a_command_does_not_read_exit_2(self, capsys, args):
-        assert entrypoint(args) == 2
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err.startswith("error: No such option") and args[1] in err
-
     def test_every_flag_changes_the_outcome(self, capsys):
         # A flag that cannot change a command's output is a dead flag.  A flag
         # added to a command fails here until it is given a value below.
@@ -604,60 +397,12 @@ class TestSimulateAndScan:
                 assert code == 0, (name, flag)
                 assert out != base_out, (name, flag)
 
-    @pytest.mark.parametrize("args", [
-        ["paths", "--v", "1000"],
-        ["scan", "--v-min", "1000", "--v-max", "1000", "--format", "json"],
-    ])
-    def test_out_under_missing_directory_exits_2(self, tmp_path, capsys, args):
-        out = tmp_path / "missing" / "out.txt"
-        assert entrypoint([*args, "--out", str(out)]) == 2
-        assert capsys.readouterr().err == (f"config error: cannot write {out}: "
-                                           "No such file or directory\n")
-
     def test_scan_validates_the_width_without_a_centre(self):
         # The configured 1000 m/s centre is at most half the 2500 m/s width, but no row reads it.
         result = invoke(["scan", "--v-width", "2500", "--v-min", "2000", "--v-max", "3000"])
         assert result.exit_code == 0
         rows = [line.split(",") for line in result.output.strip().split("\n")[1:]]
         assert len(rows) == 11 and all(row[2] and row[5] == "" for row in rows)
-        # Every centre is at most half the default 500 m/s width.
-        result = invoke(["scan", "--v-min", "100", "--v-max", "200"])
-        assert result.exit_code == 3
-        assert result.output.split("\n")[1:] == [
-            "100.0,0.2,,,,invalid_center", "200.0,0.4,,,,invalid_center", ""]
-
-    def test_overflowing_scan_centre_is_flagged(self):
-        result = invoke(["scan", "--v-min", "1.5e308", "--v-max", "1.5e308",
-                         "--v-width", "1e308"])
-        assert result.exit_code == 3
-        assert result.output.split("\n")[1] == "1.5e+308,1.5,,,,invalid_center"
-
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("baseline", ["{order: -1}", "{order: 0}"])
-    def test_subnormal_velocities_warn_nothing(self, tmp_path, baseline):
-        # The sine step 2 pi hbar / (m a) / v overflows here; with order 0 the
-        # shift 0 * inf is NaN.  Every row is evanescent either way.
-        cfg = tmp_path / "baseline.yaml"
-        cfg.write_text(f"baseline: {baseline}\n")
-        result = invoke(["scan", "--config", str(cfg), "--v-min", "1e-307",
-                         "--v-max", "1e-307", "--v-width", "1e-307"])
-        assert result.exit_code == 3
-        assert result.output == ("v_center_mps,speed_ratio_in,speed_ratio_out,"
-                                 "speed_ratio_baseline,throughput,flag\n"
-                                 "1e-307,1.0,,,,below_cutoff\n")
-
-
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_large_order_at_tiny_velocity_warns_nothing(self, tmp_path):
-        # At 1e-299 m/s the sine step is finite, but 1e9 steps overflow.
-        cfg = tmp_path / "order.yaml"
-        cfg.write_text("material: {period_angstrom: 3.383, reflection_probabilities:"
-                       " {'0': 0.06, '1': 0.03, '1000000000': 0.01}}\n"
-                       "baseline: {order: 1000000000}\n")
-        result = invoke(["scan", "--config", str(cfg), "--v-min", "1e-299",
-                         "--v-max", "1e-299", "--v-width", "1e-299"])
-        assert result.exit_code == 3
-        assert result.output.split("\n")[1] == "1e-299,1.0,,,,below_cutoff"
 
 
 #: Per command, its base arguments and, for each of its flags, a valid value
@@ -708,16 +453,6 @@ class TestGridBounds:
         assert _velocity_grid(0.1, 0.3, 0.1) == [0.1, 0.2, 0.30000000000000004]
 
     @pytest.mark.parametrize("command", ["incidence-table", "divergence-table"])
-    def test_oversized_order_table_exits_2(self, capsys, command):
-        orders = ",".join(["1"] * 1001)
-        grid = ["--v-min", "1000", "--v-max", "1999", "--v-step", "1"]
-        assert entrypoint([command, "--orders", orders, *grid]) == 2
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err == ("config error: 1001 orders x 1000 velocities exceed the limit of "
-                       "1000000 table rows\n")
-
-    @pytest.mark.parametrize("command", ["incidence-table", "divergence-table"])
     def test_order_table_may_fill_the_row_limit(self, monkeypatch, capsys, command):
         monkeypatch.setattr("mwmono.cli.MAX_GRID_POINTS", 6)
         grid = ["--v-min", "1000", "--v-max", "1200", "--v-step", "100"]
@@ -730,37 +465,13 @@ class TestGridBounds:
     @pytest.mark.parametrize("key, limit", [
         ("velocity_bins", MAX_VELOCITY_BINS), ("offset_samples", MAX_OFFSET_SAMPLES),
     ])
-    def test_oversized_sampling_exits_2(self, tmp_path, key, limit):
+    def test_sampling_may_reach_its_limit(self, tmp_path, key, limit):
         cfg = tmp_path / "big.yaml"
-        cfg.write_text(f"sampling:\n  {key}: {limit + 1}\n")
-        assert entrypoint(["simulate", "--config", str(cfg)]) == 2
         cfg.write_text(f"sampling:\n  {key}: {limit}\n")
         assert RunConfig.from_file(cfg).data["sampling"][key] == limit
 
 
-HUGE_ORDER = "9" * 400  # an integer too large for a float
-
-
 class TestOrderBound:
-    @pytest.mark.parametrize("args, name", [
-        (["paths", "--v", "1000", "--order", HUGE_ORDER], "--order"),
-        (["incidence-table", "--orders", HUGE_ORDER], "--orders"),
-        (["divergence-table", "--orders", f"1,-{HUGE_ORDER}"], "--orders"),
-        (["simulate", "--config", "setting: {total_order: %s}" % HUGE_ORDER],
-         "setting: |total_order|"),
-        (["simulate", "--config", "baseline: {order: -%s}" % HUGE_ORDER], "baseline/order"),
-        # Past 4300 digits Python refuses to parse the integer at all.
-        (["simulate", "--config", "setting: {total_order: %s}" % ("9" * 5000)],
-         "cannot read config"),
-    ])
-    def test_huge_order_exits_2(self, tmp_path, capsys, args, name):
-        if args[1] == "--config":
-            cfg = tmp_path / "order.yaml"
-            cfg.write_text(args[2] + "\n")
-            args = [args[0], "--config", str(cfg)]
-        assert entrypoint(args) == 2
-        assert name in capsys.readouterr().err
-
     def test_large_total_order_builds_a_small_table(self):
         # Only the orders a bounce can take are tabulated, not every order up
         # to the total.
@@ -803,53 +514,8 @@ class TestArguments:
         else:
             assert listed == {"--help", *_COMMANDS[name][1]}
 
-    @pytest.mark.parametrize("args, prefix", [
-        (["paths"], "error: "),
-        (["paths", "--v", "1000", "--format", "xml"], "error: "),
-        (["paths", "--v", "1000", "--order", "1000000001"], "error: "),
-        (["incidence-table", "--orders", "1,x"], "error: "),
-        (["incidence-table", "--orders", ","], "error: argument --orders: "),
-        (["divergence-table", "--orders", ""], "error: argument --orders: "),
-        (["simulate", "--config", "missing.yaml"], "config error: "),
-        (["bogus"], "error: "),
-        (["paths", "--v", "1000", "foo"], "error: unexpected argument 'foo'\n"),
-    ], ids=["missing-v", "format-xml", "order-beyond-1e9", "orders-1-x", "orders-comma",
-            "orders-empty", "missing-config", "unknown-command", "unexpected-argument"])
-    def test_usage_error_exits_2_with_one_line(self, tmp_path, monkeypatch, capsys, args,
-                                               prefix):
-        monkeypatch.chdir(tmp_path)
-        assert entrypoint(args) == 2
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err.startswith(prefix) and err.count("\n") == 1 and err.endswith("\n")
-
 
 class TestInputContract:
-    @pytest.mark.parametrize("args", [
-        ["paths", "--v", "0"],
-        ["paths", "--v", "nan"],
-        ["incidence-table", "--v-min", "-100"],
-        ["divergence-table", "--v-min", "0"],
-    ])
-    def test_bad_velocity_flags_exit_2(self, args):
-        assert entrypoint(args) == 2
-
-    @pytest.mark.parametrize("args, out, err", [
-        (["incidence-table", "--orders", "1", "--v-min", "100", "--v-max", "200"],
-         "velocity_mps,order,theta_inc_deg,status\n100.0,1,,below_cutoff\n200.0,1,,below_cutoff\n",
-         "infeasible: no row ok (2 below_cutoff)\n"),
-        (["divergence-table", "--orders", "1,2", "--v-min", "100", "--v-max", "1000",
-          "--v-step", "900", "--theta-out-deg", "89.9999999"],
-         "velocity_mps,order,dtheta_dv_rad_per_mps,status\n100.0,1,,below_cutoff\n"
-         "1000.0,1,,GrazingSingularityError\n100.0,2,,below_cutoff\n"
-         "1000.0,2,,GrazingSingularityError\n",
-         "infeasible: no row ok (2 below_cutoff, 2 GrazingSingularityError)\n"),
-    ])
-    def test_tables_with_no_result_say_why(self, capsys, args, out, err):
-        # The whole table is printed, then one line counts the rows by flag or status.
-        assert entrypoint(args) == 3
-        assert capsys.readouterr() == (out, err)
-
     def test_scan_flags_invalid_centres(self, small_config):
         result = invoke([
             "scan", "--config", small_config, "--v-min", "100", "--v-max", "300",
@@ -888,7 +554,17 @@ class TestInputContract:
             argv.append(f"--theta-out-deg={theta!r}")
         if order is not None and command in {"paths", "simulate", "scan"}:
             argv.append(f"--order={order}")
-        assert entrypoint(argv + ["--config", small_config]) in {0, 2, 3}
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = entrypoint(argv + ["--config", small_config])
+        assert code in {0, 2, 3}
+        # Exit 0 writes no stderr; exit 2 or 3 writes one line saying which kind of failure.
+        err = err.getvalue()
+        if code == 0:
+            assert err == ""
+        else:
+            prefixes = ("infeasible: ",) if code == 3 else ("error: ", "config error: ")
+            assert err.startswith(prefixes) and err.count("\n") == 1 and err.endswith("\n")
 
     def test_underflowing_mass_times_period_exits_0_2_or_3(self, tmp_path, capsys):
         # m * a underflows to 0, the divisor of the cutoff velocity and of the
