@@ -56,7 +56,7 @@ row.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -76,16 +76,14 @@ from .geometry import (
 _ROW_ERRSTATE = np.errstate(over="ignore", invalid="ignore", divide="ignore")
 
 
-@dataclass(frozen=True)
-class ExitRay:
+class ExitRay(NamedTuple):
     """Ray leaving the device: exit abscissa on the lower plate and angle."""
 
     position: float  # m, x coordinate of the last reflection
     angle: float  # rad, from the plate normal
 
 
-@dataclass
-class BeamlineResult:
+class BeamlineResult(NamedTuple):
     """Transmitted velocity distribution and derived figures of merit."""
 
     velocities: np.ndarray  # m/s, histogram bin centres
@@ -401,8 +399,7 @@ def single_reflection_baseline(
     return _reduce(spec, velocities, offsets, counts, prob)
 
 
-@dataclass(frozen=True)
-class ScanRow:
+class ScanRow(NamedTuple):
     """One centre velocity of a speed-ratio scan."""
 
     v_center: float

@@ -12,8 +12,8 @@ from __future__ import annotations
 import copy
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .diffraction import HELIUM_4, Grating, MonochromatorSetting, Particle, _MAX_ORDER
 from .errors import ConfigurationError
@@ -46,8 +46,8 @@ PRESETS: dict = {
 DEFAULT_CONFIG: dict = {
     "particle": "helium-4",
     "material": "si111-h1x1",
-    "setting": {"theta_out_deg": math.degrees(MonochromatorSetting.theta_out),
-                "total_order": MonochromatorSetting.total_order},
+    "setting": {"theta_out_deg": math.degrees(MonochromatorSetting._field_defaults["theta_out"]),
+                "total_order": MonochromatorSetting._field_defaults["total_order"]},
     "device": {"separation_mm": 5.0, "length_mm": 50.0},
     "beamline": {
         "source_pinhole": {"diameter_mm": 1.0},
@@ -56,7 +56,7 @@ DEFAULT_CONFIG: dict = {
             {"diameter_mm": 10.0, "distance_mm": 1000.0},
         ],
     },
-    "beam": {"v_center_mps": 1000.0, "v_width_mps": BeamSpec.full_width},
+    "beam": {"v_center_mps": 1000.0, "v_width_mps": BeamSpec._field_defaults["full_width"]},
     "sampling": {
         "velocity_bins": DEFAULT_VELOCITY_BINS,
         "offset_samples": DEFAULT_OFFSET_SAMPLES,
@@ -140,8 +140,7 @@ def read_config(path: str | Path) -> dict:
     return raw
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     """Validated configuration with factories for the domain objects."""
 
     data: dict

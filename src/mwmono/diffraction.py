@@ -16,7 +16,7 @@ pure; there is no shared mutable state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import (
     BelowCutoffError,
@@ -34,40 +34,76 @@ GRAZING_MARGIN = 1e-12
 _MAX_ORDER = 10**9
 
 
-@dataclass(frozen=True)
-class Particle:
+#: A named tuple's ``_make``, which ``_replace`` calls, built through the constructor, so that
+#: a changed record is checked as well.
+_make_through_constructor = classmethod(lambda cls, fields: cls(*fields))
+
+
+def _checked(record):
+    """Make the named tuple class ``record`` run its ``_check`` on every instance it builds.
+
+    A named tuple may not define ``__new__`` or ``_make`` in its body, so they are set here.
+    """
+    new = record.__new__
+
+    def checked_new(cls, *args, **kwargs):
+        self = new(cls, *args, **kwargs)
+        self._check()
+        return self
+
+    record.__new__, record._make = checked_new, _make_through_constructor
+    return record
+
+
+@_checked
+class Particle(NamedTuple):
     """A beam particle, the source of the de Broglie wavelength."""
 
     mass: float  # kg
 
-    def __post_init__(self):
+    def _check(self):
         if not self.mass > 0:
             raise ValueError(f"particle mass must be positive, got {self.mass}")
 
 
-@dataclass(frozen=True)
-class Grating:
+class _Grating(NamedTuple):
+    period: float  # m
+    reflection_probabilities: dict[int, float]
+
+
+class Grating(_Grating):
     """Periodic surface acting as the diffraction grating.
 
     ``reflection_probabilities`` maps |order| to the population diffracted
-    into that order at a single bounce.
+    into that order at a single bounce; the grating keeps a copy of its own.
+    ``rates`` is that copy's (|order|, p) items, on which path selection
+    caches its ranking.
     """
 
-    period: float  # m
-    reflection_probabilities: dict[int, float] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if not self.period > 0:
-            raise ValueError(f"grating period must be positive, got {self.period}")
-        for order, p in self.reflection_probabilities.items():
+    def __new__(cls, period: float, reflection_probabilities: dict[int, float] | None = None):
+        if not period > 0:
+            raise ValueError(f"grating period must be positive, got {period}")
+        rates = dict(reflection_probabilities or {})
+        for order, p in rates.items():
             if order < 0:
                 raise ValueError(f"probabilities are keyed by |order|, got {order}")
             if not 0 < p <= 1:
                 raise ValueError(f"reflection probability for order {order} not in (0, 1]: {p}")
+        self = super().__new__(cls, period, rates)
+        object.__setattr__(self, "rates", tuple(rates.items()))
+        return self
+
+    _make = _make_through_constructor
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r} of a Grating")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r} of a Grating")
 
 
-@dataclass(frozen=True)
-class MonochromatorSetting:
+@_checked
+class MonochromatorSetting(NamedTuple):
     """Working point of the device: fixed exit angle and total order.
 
     ``total_order`` is the signed total diffraction order of the device; its
@@ -79,7 +115,7 @@ class MonochromatorSetting:
     theta_out: float = math.radians(85.0)  # rad
     total_order: int = -1
 
-    def __post_init__(self):
+    def _check(self):
         if not 0 < self.theta_out < math.pi / 2:
             raise ValueError(f"theta_out must be in (0, pi/2), got {self.theta_out}")
         if abs(self.total_order) > _MAX_ORDER:

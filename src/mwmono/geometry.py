@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -29,6 +28,7 @@ from .diffraction import (
     Grating,
     MonochromatorSetting,
     Particle,
+    _checked,
     incidence_for_output,
     wavelength_ratio,
 )
@@ -52,14 +52,14 @@ BASELINE_THETA_INC = math.radians(50.0)
 BASELINE_ORDER = -1
 
 
-@dataclass(frozen=True)
-class DeviceGeometry:
+@_checked
+class DeviceGeometry(NamedTuple):
     """Parallel-plate device: plate separation s and plate length l."""
 
     separation: float  # m
     length: float  # m
 
-    def __post_init__(self):
+    def _check(self):
         if not self.separation > 0:
             raise ValueError(f"separation must be positive, got {self.separation}")
         if not self.length > 0:
@@ -71,14 +71,14 @@ class DeviceGeometry:
         return self.length / self.separation
 
 
-@dataclass(frozen=True)
-class BeamSpec:
+@_checked
+class BeamSpec(NamedTuple):
     """Incoming beam: rectangular velocity distribution around a centre."""
 
     center_velocity: float  # m/s
     full_width: float = 500.0  # m/s
 
-    def __post_init__(self):
+    def _check(self):
         if not self.full_width > 0:
             raise ValueError(f"full_width must be positive, got {self.full_width}")
         if not self.center_velocity > self.full_width / 2:
@@ -95,20 +95,20 @@ class BeamSpec:
         return self.center_velocity / self.full_width
 
 
-@dataclass(frozen=True)
-class Pinhole:
+@_checked
+class Pinhole(NamedTuple):
     """Aperture modelled as a slit in the diffraction plane."""
 
     diameter: float  # m
     distance: float  # m, along the relevant beam axis
 
-    def __post_init__(self):
+    def _check(self):
         if not self.diameter > 0 or not self.distance > 0:
             raise ValueError("pinhole diameter and distance must be positive")
 
 
-@dataclass(frozen=True)
-class Beamline:
+@_checked
+class Beamline(NamedTuple):
     """Source aperture, device and downstream pinholes.
 
     The beam is a plane wave: every source offset enters at the same
@@ -120,7 +120,7 @@ class Beamline:
     device: DeviceGeometry
     setting: MonochromatorSetting
 
-    def __post_init__(self):
+    def _check(self):
         if not self.source_diameter > 0:
             raise ValueError(f"source diameter must be positive, got {self.source_diameter}")
         distances = [p.distance for p in self.exit_pinholes]
@@ -158,8 +158,7 @@ class DiffractionPath(NamedTuple):
         return (self.n1, self.n2, self.n3)
 
 
-@dataclass(frozen=True)
-class FeasibilityBand:
+class FeasibilityBand(NamedTuple):
     """Open interval of l/s ratios supporting a path.
 
     The lower bound keeps the third reflection on the plate; the upper bound
@@ -237,7 +236,7 @@ def _ranked_combinations(probabilities: tuple[tuple[int, float], ...], total: in
     """:func:`select_path`'s candidates, best first, as one tuple of (n1, n2, n3) triples.
 
     The candidates are the (n1, n2) combinations whose three reflection probabilities
-    ``probabilities`` (the grating's (|order|, p) items) all define, ordered by
+    ``probabilities`` (the grating's ``rates``) all define, ordered by
     (transmission, -|n1|, orders) from the highest.  That order holds at every velocity.
     """
     probs = dict(probabilities)
@@ -274,7 +273,7 @@ def select_path(
     propagating candidates up to the first feasible one.
     """
     probs = grating.reflection_probabilities
-    ranked = _ranked_combinations(tuple(probs.items()), setting.order_magnitude)
+    ranked = _ranked_combinations(grating.rates, setting.order_magnitude)
     ratio = device.length_ratio
     width = math.tan(setting.theta_out)  # of every path's band; see feasibility_band
     sin_inc, step = _sines(setting, particle, grating, v)

@@ -13,6 +13,7 @@ import pytest
 
 from mwmono import (
     HBAR,
+    Beamline,
     BeamSpec,
     DeviceGeometry,
     MonochromatorSetting,
@@ -230,13 +231,14 @@ def test_acceptance_5_property_suite():
         spec = BeamSpec(1000.0)
         throughputs = []
         for scale in (1.0, 2.0, 4.0):
-            import dataclasses
-            bl = dataclasses.replace(
-                BEAMLINE,
+            bl = Beamline(
+                source_diameter=BEAMLINE.source_diameter,
                 exit_pinholes=tuple(
                     Pinhole(diameter=ph.diameter * scale, distance=ph.distance)
                     for ph in BEAMLINE.exit_pinholes
                 ),
+                device=BEAMLINE.device,
+                setting=BEAMLINE.setting,
             )
             throughputs.append(simulate_beam(spec, bl, HELIUM, GRATING,
                                              velocity_bins=501, offset_samples=51).throughput)

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -8,6 +7,7 @@ from mwmono import (
     BeamSpec,
     Beamline,
     ConfigurationError,
+    DeviceGeometry,
     DiffractionPath,
     EmptyTransmissionError,
     Pinhole,
@@ -36,7 +36,7 @@ def objs(default_config, beamline):
 
 
 def with_exit_pinholes(beamline, pinholes):
-    return dataclasses.replace(beamline, exit_pinholes=tuple(pinholes))
+    return Beamline(beamline.source_diameter, tuple(pinholes), beamline.device, beamline.setting)
 
 
 class TestTraceVelocity:
@@ -197,7 +197,8 @@ class TestSimulateBeam:
         # still reported first.
         cfg = RunConfig.from_dict({"setting": {"theta_out_deg": 30.0}})
         bl = cfg.beamline()
-        bl = dataclasses.replace(bl, device=dataclasses.replace(bl.device, separation=5e-324))
+        bl = Beamline(bl.source_diameter, bl.exit_pinholes, DeviceGeometry(5e-324, bl.device.length),
+                      bl.setting)
         helium, grating = cfg.particle(), cfg.grating()
         path = next(p for p in enumerate_paths(bl.setting, helium, grating, 3000.0)
                     if p.transmission is not None)

@@ -594,20 +594,25 @@ def run_python(code, *args):
 
 
 class TestLazyImports:
-    """Commands that run no kernel load neither numpy nor, without a file, yaml."""
+    """Commands that run no kernel load neither numpy nor, without a file, yaml; and none
+    loads dataclasses."""
 
     @pytest.mark.parametrize("args, expected, blocked", [
-        (["--version"], b"mwmono, version 0.1.0\n", ["numpy", "yaml"]),
-        (["paths", "--v", "1000"], "paths_1000.csv", ["numpy", "yaml"]),
-        (["paths", "--v", "5000", "--format", "json"], "paths_5000.json", ["numpy", "yaml"]),
+        (["--version"], b"mwmono, version 0.1.0\n", ["numpy", "yaml", "dataclasses"]),
+        (["paths", "--v", "1000"], "paths_1000.csv", ["numpy", "yaml", "dataclasses"]),
+        (["paths", "--v", "5000", "--format", "json"], "paths_5000.json",
+         ["numpy", "yaml", "dataclasses"]),
         (["incidence-table", "--orders", "1,2,3", "--v-min", "300", "--v-max", "5000",
-          "--v-step", "100"], "incidence_table.csv", ["numpy", "yaml"]),
-        (["divergence-table", "--orders", "1,2,3"], "divergence_table.csv", ["numpy", "yaml"]),
+          "--v-step", "100"], "incidence_table.csv", ["numpy", "yaml", "dataclasses"]),
+        (["divergence-table", "--orders", "1,2,3"], "divergence_table.csv",
+         ["numpy", "yaml", "dataclasses"]),
         (["paths", "--v", "1000", "--config", str(GOLDEN / "default_config.yaml")],
-         "paths_1000.csv", ["numpy"]),
-        (["--dump-default-config"], "default_config.yaml", ["numpy"]),
+         "paths_1000.csv", ["numpy", "dataclasses"]),
+        (["--dump-default-config"], "default_config.yaml", ["numpy", "dataclasses"]),
+        # numpy loads inspect but not dataclasses.
+        (["simulate", "--v-center", "1000"], "simulate_1000.json", ["yaml", "dataclasses"]),
     ], ids=["version", "paths-1000", "paths-5000-json", "incidence-table", "divergence-table",
-            "config-file", "dump-default-config"])
+            "config-file", "dump-default-config", "simulate-1000"])
     def test_command_runs_with_modules_blocked(self, args, expected, blocked):
         # A None entry in sys.modules makes importing that module raise ImportError.
         code = (f"import sys; sys.modules.update(dict.fromkeys({blocked!r})); "
@@ -622,7 +627,8 @@ class TestLazyImports:
         code = ("import sys, mwmono.cli; from mwmono.config import RunConfig; "
                 "cfg = RunConfig.from_dict({}); "
                 "cfg.particle(); cfg.grating(); cfg.setting(); cfg.device(); cfg.beamline(); "
-                "cfg.beam(); print(sorted({'numpy', 'yaml'} & set(sys.modules)))")
+                "cfg.beam(); print(sorted({'numpy', 'yaml', 'dataclasses', 'inspect'} "
+                "& set(sys.modules)))")
         proc = run_python(code)
         assert proc.returncode == 0, proc.stderr.decode()
         assert proc.stdout == b"[]\n"

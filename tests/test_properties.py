@@ -1,6 +1,5 @@
 """Property-based checks of the diffraction relations."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -8,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from mwmono import (
+    Beamline,
     BeamSpec,
     BelowCutoffError,
     DeviceGeometry,
@@ -364,11 +364,13 @@ def test_row_counts_match_every_cell(v, nv, nu, source, exits, theta_out_deg, le
     # near grazing, where reversed rows can pass.
     cfg = RunConfig.from_dict({"setting": {"theta_out_deg": theta_out_deg},
                                "device": {"length_mm": length_mm}})
-    bl = dataclasses.replace(
-        cfg.beamline(),
+    bl = cfg.beamline()
+    bl = Beamline(
         source_diameter=source,
         exit_pinholes=tuple(sorted((Pinhole(d, at) for d, at in exits),
                                    key=lambda ph: ph.distance)),
+        device=bl.device,
+        setting=bl.setting,
     )
     spec = BeamSpec(v)
     p, g = cfg.particle(), cfg.grating()
@@ -391,10 +393,11 @@ def test_row_counts_match_traced_rays(v, nv, nu, source, theta_out_deg, length_m
     cfg = RunConfig.from_dict({"setting": {"theta_out_deg": theta_out_deg},
                                "device": {"length_mm": length_mm}})
     bl = cfg.beamline()
-    bl = dataclasses.replace(
-        bl,
+    bl = Beamline(
         source_diameter=source,
         exit_pinholes=tuple(Pinhole(1e3, p.distance) for p in bl.exit_pinholes),
+        device=bl.device,
+        setting=bl.setting,
     )
     p, g = cfg.particle(), cfg.grating()
     try:
