@@ -27,6 +27,9 @@ from .errors import (
 #: Reduced Planck constant in J*s (CODATA 2018; exact since the 2019 SI).
 HBAR = 1.054571817e-34
 
+#: Planck's constant 2*pi*hbar, the numerator of every de Broglie wavelength.
+_TWO_PI_HBAR = 2.0 * math.pi * HBAR
+
 #: Derivative evaluation refuses arcsin arguments closer to +-1 than this.
 GRAZING_MARGIN = 1e-12
 
@@ -140,7 +143,7 @@ def de_broglie_wavelength(particle: Particle, v: float) -> float:
     if not v > 0:
         raise ValueError(f"velocity must be positive, got {v}")
     momentum = particle.mass * v  # zero only if the product underflows
-    return 2.0 * math.pi * HBAR / momentum if momentum else math.inf
+    return _TWO_PI_HBAR / momentum if momentum else math.inf
 
 
 def wavelength_ratio(particle: Particle, grating: Grating, v: float) -> float:
@@ -194,6 +197,25 @@ def velocity_divergence(
     return -q / (v * math.sqrt(1.0 - arg * arg))
 
 
+def _incidence(setting, particle, grating, v):
+    """(theta_inc, lambda / period) at velocity v: the angle :func:`incidence_for_output`
+    returns and the wavelength ratio it was solved with, so that the path layer solves
+    each velocity once.
+
+    The ratio is :func:`wavelength_ratio`'s float, bit for bit.  The specular shift is 0.0,
+    not 0 * ratio, which is nan once the momentum underflows and the ratio is inf.
+    """
+    if not v > 0:
+        raise ValueError(f"velocity must be positive, got {v}")
+    momentum = particle.mass * v  # zero only if the product underflows
+    ratio = (_TWO_PI_HBAR / momentum if momentum else math.inf) / grating.period
+    n = abs(setting.total_order)
+    arg = math.cos(math.pi / 2 - setting.theta_out) - (n * ratio if n else 0.0)
+    if arg < 0.0:
+        raise BelowCutoffError(v, setting.total_order, cutoff_velocity(setting, particle, grating))
+    return math.asin(arg), ratio
+
+
 def incidence_for_output(
     setting: MonochromatorSetting,
     particle: Particle,
@@ -203,16 +225,12 @@ def incidence_for_output(
     """Incidence angle sending velocity v into the fixed exit angle.
 
     Solves the total grating equation for theta_inc at the setting's order
-    magnitude: arcsin(cos(epsilon) - |N| * lambda / period).  Negative
-    solutions are unphysical (the cutoff condition) and raise
-    :class:`BelowCutoffError`.
+    magnitude: arcsin(cos(epsilon) - |N| * lambda / period).  v is checked at
+    every order, the specular one included, and raises ValueError unless it is
+    positive.  Negative solutions are unphysical (the cutoff condition) and
+    raise :class:`BelowCutoffError`.
     """
-    n = setting.order_magnitude
-    shift = n * wavelength_ratio(particle, grating, v) if n else 0.0  # 0 * inf is nan
-    arg = math.cos(setting.epsilon) - shift
-    if arg < 0.0:
-        raise BelowCutoffError(v, setting.total_order, cutoff_velocity(setting, particle, grating))
-    return math.asin(arg)
+    return _incidence(setting, particle, grating, v)[0]
 
 
 def cutoff_velocity(

@@ -7,9 +7,10 @@ span relative to the plate separation (the geometry ratio d/s), and the
 transmission rate, the product of the per-bounce diffraction populations.
 The device realizes the most transmissive path whose l/s band holds its own
 l/s ratio (:func:`select_path`, a walk of a flat best-first ranking).  Each of
-the three walkers loops over the candidates itself, with the same float
-expressions in the same order, so their angles and ratios agree bit for bit; the census
-and enumeration build the five (n, shift) pairs of :data:`INTERNAL_ORDERS` once per call.
+the three walkers solves its velocity once, through :func:`_sines`, and loops over the
+candidates itself, with the same float expressions in the same order, so their angles
+and ratios agree bit for bit; the census and enumeration build the five (n, shift) pairs
+of :data:`INTERNAL_ORDERS` once per call.
 
 The beamline's domain objects (beam, pinholes, beamline), the sampling
 grid's bounds and the baseline's defaults live here too, so that selecting a
@@ -29,8 +30,7 @@ from .diffraction import (
     MonochromatorSetting,
     Particle,
     _checked,
-    incidence_for_output,
-    wavelength_ratio,
+    _incidence,
 )
 from .errors import ConfigurationError, EmptyTransmissionError
 
@@ -183,12 +183,16 @@ def _transmission(probs: dict, n1: int, n2: int, n3: int) -> float | None:
 def _sines(setting, particle, grating, v):
     """sin(theta_inc) at velocity v, and the step: order n shifts a sine by n * step.
 
+    One solve gives both: the step is the wavelength ratio lambda / period that
+    :func:`~mwmono.diffraction.incidence_for_output`'s angle was solved with.  The sine is
+    taken of that angle, not read from the arcsin's argument, which differs in the last bit.
+
     Each walker writes that shift as ``n * step if n else 0.0``: the specular shift is 0.0,
     not 0 * step, which is nan once the momentum underflows and the step is inf.  A sine is
     rejected by ``s > 1.0 or s < -1.0``; both comparisons are false for NaN, so NaN passes.
     """
-    theta_inc = incidence_for_output(setting, particle, grating, v)
-    return math.sin(theta_inc), wavelength_ratio(particle, grating, v)
+    theta_inc, step = _incidence(setting, particle, grating, v)
+    return math.sin(theta_inc), step
 
 
 def enumerate_paths(
@@ -204,7 +208,7 @@ def enumerate_paths(
     angles exist (no evanescent order).  An empty list is a valid result.
     """
     sin_inc, step = _sines(setting, particle, grating, v)
-    total, probs = setting.order_magnitude, grating.reflection_probabilities
+    total, probs = abs(setting.total_order), grating.reflection_probabilities
     shifts = [(n, n * step if n else 0.0) for n in INTERNAL_ORDERS]
     paths = []
     for n1, shift1 in shifts:
@@ -273,8 +277,8 @@ def select_path(
     propagating candidates up to the first feasible one.
     """
     probs = grating.reflection_probabilities
-    ranked = _ranked_combinations(grating.rates, setting.order_magnitude)
-    ratio = device.length_ratio
+    ranked = _ranked_combinations(grating.rates, abs(setting.total_order))
+    ratio = device.length / device.separation
     width = math.tan(setting.theta_out)  # of every path's band; see feasibility_band
     sin_inc, step = _sines(setting, particle, grating, v)
     for n1, n2, n3 in ranked:
@@ -340,7 +344,7 @@ def path_census(
     without building path records or groups.
     """
     sin_inc, step = _sines(setting, particle, grating, v)
-    total, asin, tan = setting.order_magnitude, math.asin, math.tan
+    total, asin, tan = abs(setting.total_order), math.asin, math.tan
     shifts = [(n, n * step if n else 0.0) for n in INTERNAL_ORDERS]
     ratios = []  # each survivor's d/s
     for n1, shift1 in shifts:

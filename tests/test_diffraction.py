@@ -160,6 +160,14 @@ class TestIncidenceForOutput:
                 setting.theta_out, abs=1e-15
             )
 
+    @pytest.mark.parametrize("order", [0, -1])
+    @pytest.mark.parametrize("v", [-1.0, 0.0, math.nan])
+    def test_rejects_nonpositive_velocity_at_every_order(self, helium, grating, order, v):
+        setting = MonochromatorSetting(total_order=order)
+        with pytest.raises(ValueError) as info:
+            incidence_for_output(setting, helium, grating, v)
+        assert str(info.value) == f"velocity must be positive, got {v}"
+
     def test_value_at_1000(self, helium, grating, setting):
         theta = incidence_for_output(setting, helium, grating, 1000.0)
         assert math.degrees(theta) == pytest.approx(44.548, abs=1e-3)

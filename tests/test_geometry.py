@@ -3,6 +3,7 @@ import math
 import pytest
 
 from mwmono import (
+    BelowCutoffError,
     DeviceGeometry,
     DiffractionPath,
     MonochromatorSetting,
@@ -13,6 +14,7 @@ from mwmono import (
     group_paths_by_geometry,
     incidence_for_output,
     path_census,
+    select_path,
 )
 from mwmono.geometry import GROUP_RTOL, _group_limit
 
@@ -68,6 +70,34 @@ class TestEnumeratePaths:
         assert by_orders[(0, 0, 1)].transmission == pytest.approx(0.06 * 0.06 * 0.03)
         # |n3| beyond the grating's known orders: no transmission rate.
         assert by_orders[(-2, -2, 5)].transmission is None
+
+
+#: The three path walkers, each called as ``walk(setting, particle, grating, v)``.
+WALKERS = {
+    "path_census": path_census,
+    "select_path": lambda *a: select_path(*a, DeviceGeometry(separation=1.0, length=10.0)),
+    "enumerate_paths": enumerate_paths,
+}
+
+
+class TestWalkerErrors:
+    @pytest.mark.parametrize("walker", WALKERS)
+    @pytest.mark.parametrize("order", [0, -1])
+    @pytest.mark.parametrize("v", [-1.0, 0.0, math.nan])
+    def test_nonpositive_velocity(self, helium, grating, walker, order, v):
+        setting = MonochromatorSetting(total_order=order)
+        with pytest.raises(ValueError) as info:
+            WALKERS[walker](setting, helium, grating, v)
+        assert type(info.value) is ValueError
+        assert str(info.value) == f"velocity must be positive, got {v}"
+
+    @pytest.mark.parametrize("walker", WALKERS)
+    def test_below_cutoff(self, setting, helium, grating, walker):
+        with pytest.raises(BelowCutoffError) as info:
+            WALKERS[walker](setting, helium, grating, 200.0)
+        assert str(info.value) == (
+            "velocity 200.0 m/s below cutoff for |order| = 1 (cutoff 295.8 m/s)"
+        )
 
 
 def transmissions(total_order, helium, grating, v=1000.0):

@@ -21,6 +21,7 @@ from mwmono import (
     Particle,
     Pinhole,
     RunConfig,
+    cutoff_velocity,
     de_broglie_wavelength,
     diffraction_angle,
     enumerate_paths,
@@ -41,7 +42,8 @@ from mwmono.beamline import (
     _row_counts,
     _traced_rows,
 )
-from mwmono.diffraction import HBAR
+from mwmono.diffraction import HBAR, wavelength_ratio
+from mwmono.geometry import _sines
 
 HELIUM = Particle(mass=6.6464731e-27)
 GRATING = Grating(period=3.383e-10, reflection_probabilities={0: 0.06, 1: 0.03, 2: 0.015})
@@ -181,6 +183,45 @@ def test_census_counts_the_groups_of_the_enumerated_records(theta_out, n, v):
         assert repr(p) == repr(keyword)
         assert p._asdict() == keyword._asdict()
         assert p.orders == keyword.orders == (p.n1, p.n2, p.n3)
+
+
+def _solve_in_steps(setting, v):
+    """The incidence solve step by step: the wavelength ratio, cos(epsilon) - |N| * ratio,
+    its arcsin, then the path layer's sine of that angle and the ratio as its step."""
+    ratio = wavelength_ratio(HELIUM, GRATING, v)
+    n = abs(setting.total_order)
+    arg = math.cos(setting.epsilon) - (n * ratio if n else 0.0)  # 0 * inf is nan
+    if arg < 0.0:
+        raise BelowCutoffError(v, setting.total_order, cutoff_velocity(setting, HELIUM, GRATING))
+    theta_inc = math.asin(arg)
+    return theta_inc, (math.sin(theta_inc), ratio)
+
+
+@settings(max_examples=500, deadline=None)
+@example(theta_out=GRAZING_THETA_OUT, n=-1, v=572.0)
+@example(theta_out=GRAZING_THETA_OUT, n=10**9, v=1e30)
+@example(theta_out=GRAZING_THETA_OUT, n=0, v=5e-324)
+@example(theta_out=math.radians(85.0), n=-10**9, v=1e30)
+@example(theta_out=math.radians(85.0), n=-1, v=5e-324)
+@example(theta_out=math.radians(85.0), n=-1, v=200.0)
+@given(theta_out=st.floats(min_value=math.radians(1.0), max_value=GRAZING_THETA_OUT),
+       n=st.sampled_from([0, 1, -1, -2, 3, 10**9, -10**9]),
+       v=st.floats(min_value=5e-324, max_value=1e30) | velocities)
+def test_incidence_solve_matches_its_steps_bit_for_bit(theta_out, n, v):
+    # incidence_for_output and the path layer's (sine, step) are the stepwise solve's floats
+    # exactly, and raise its exceptions with its messages.
+    setting = MonochromatorSetting(theta_out=theta_out, total_order=n)
+    try:
+        theta_inc, sines = _solve_in_steps(setting, v)
+    except MonochromatorError as exc:
+        for solve in (incidence_for_output, _sines):
+            with pytest.raises(type(exc)) as info:
+                solve(setting, HELIUM, GRATING, v)
+            assert type(info.value) is type(exc)
+            assert str(info.value) == str(exc)
+        return
+    assert incidence_for_output(setting, HELIUM, GRATING, v) == theta_inc
+    assert _sines(setting, HELIUM, GRATING, v) == sines
 
 
 def _best_enumerated_path(setting, grating, v, device):
