@@ -45,12 +45,12 @@ Only the rows the exit pinholes can pass are traced (:func:`_traced_rows`).
 Every passing ray leaves within a reach of the reference exit point (the
 plate length l in the device, where both exit points lie on [0, l]; the
 source radius over cos(theta_inc) in the baseline), so each pinhole farther
-than that reach times |sin(theta_ref)| bounds |tan(rel)| of a passing row.
-Every row's exit angle is computed, and a row is traced when its own
-|tan(rel)|, the value the pinhole cut reads, is within that bound, with
-every length widened far beyond rounding.  So the rows left out count 0 on
-every cell as well, and every count, sum and output is that of tracing every
-row.
+than that reach times |sin(theta_ref)| bounds |tan(rel)| of a passing row,
+which must also head downstream (cos(rel) > 0).  Every row's exit angle is
+computed, and a row is traced when its own rel, which the pinhole cut reads,
+meets both, with every length widened far beyond rounding.  So the rows left
+out count 0 on every cell as well, and every count, sum and output is that of
+tracing every row.
 """
 
 from __future__ import annotations
@@ -168,16 +168,22 @@ def _pinhole_bounds(theta_exit, theta_ref, pinholes):
 
     Pinholes are centred on the reference ray (exit angle ``theta_ref``
     through dx = 0) and oriented perpendicular to it.  A ray leaving dx at
-    ``theta_exit`` meets the pinhole at distance L with the offset
-    ``dx * slope + L * tan(rel)``, where ``rel = theta_exit - theta_ref`` and
-    ``slope = cos(theta_ref) - sin(theta_ref) * tan(rel)``.  A row of slope 0
-    has one offset on every column: bounds (-inf, inf) if it passes, else inf.
+    ``theta_exit`` meets the plane of the pinhole at distance L with the
+    offset ``dx * slope + L * tan(rel)``, where ``rel = theta_exit -
+    theta_ref`` and ``slope = cos(theta_ref) - sin(theta_ref) * tan(rel)``.
+    It passes if it heads downstream, cos(rel) > 0, with or without pinholes,
+    and |offset| <= d / 2 at each.  For a pinhole beyond the exit point, at
+    L > dx * sin(theta_ref), heading downstream is meeting its plane forward
+    along the ray.  cos(rel) > 0 is |rel| <= pi / 2 rounded down, as |rel| <=
+    pi.  A row of slope 0 has one offset on every column: bounds (-inf, inf)
+    if it passes, else inf.
     """
-    tan_rel = np.tan(theta_exit - theta_ref)
+    rel = theta_exit - theta_ref
+    tan_rel = np.tan(rel)
     slope = math.cos(theta_ref) - math.sin(theta_ref) * tan_rel
     flat = slope == 0.0
     divisor = np.where(flat, 1.0, slope)
-    lo, hi = np.full(slope.shape, -np.inf), np.full(slope.shape, np.inf)
+    lo, hi = np.where(np.abs(rel) <= math.pi / 2, -np.inf, np.inf), np.full(slope.shape, np.inf)
     for ph in pinholes:
         centre = ph.distance * tan_rel  # offset at dx = 0
         a = (-ph.diameter / 2 - centre) / divisor
@@ -202,9 +208,10 @@ def _traced_rows(theta_exit, reach, pinholes):
     |tan(rel)|``, so ``|tan(rel)| <= (d_k / 2 + reach * |cos(theta_ref)|) / (L_k - reach *
     |sin(theta_ref)|)`` wherever that divisor is positive.  A row is kept when its own
     |tan(rel)|, the value :func:`_pinhole_bounds` computes, is within the least of these
-    bounds, with every length widened by ``_ROWS_RTOL``.  tan has period pi, so rows exiting
-    opposite the reference (rel near +-pi) are kept as the bound says; with no bound, every
-    finite row is kept.
+    bounds, with every length widened by ``_ROWS_RTOL``, and when it heads downstream, as
+    :func:`_pinhole_bounds` requires: cos(rel) > 0 (tan has period pi, so this leaves out
+    rows exiting opposite the reference).  With no bound, every finite row heading
+    downstream is kept.
     """
     theta_ref = theta_exit[-1]
     cos_ref, sin_ref = abs(math.cos(theta_ref)), abs(math.sin(theta_ref))
@@ -214,7 +221,8 @@ def _traced_rows(theta_exit, reach, pinholes):
         divisor = ph.distance * (1.0 - _ROWS_RTOL) - reach * sin_ref
         if divisor > 0.0:
             bound = min(bound, (ph.diameter / 2 * (1.0 + _ROWS_RTOL) + reach * cos_ref) / divisor)
-    keep = np.abs(np.tan(theta_exit - theta_ref)) <= bound
+    rel = theta_exit - theta_ref
+    keep = (np.abs(np.tan(rel)) <= bound) & (np.abs(rel) <= math.pi / 2)  # cos(rel) > 0
     keep[-1] = True
     return np.flatnonzero(keep)
 

@@ -1,16 +1,17 @@
 """Three-bounce path enumeration and device feasibility.
 
-A path through the device is the triple of internal diffraction orders
-(n1, n2, n3) with n1 + n2 + n3 equal to the device's total order.  Each
-surviving path fixes the two internal angles, the first-to-third reflection
-span relative to the plate separation (the geometry ratio d/s), and the
-transmission rate, the product of the per-bounce diffraction populations.
-The device realizes the most transmissive path whose l/s band holds its own
-l/s ratio (:func:`select_path`, a walk of a flat best-first ranking).  Each of
-the three walkers solves its velocity once, through :func:`_sines`, and loops over the
-candidates itself, with the same float expressions in the same order, so their angles
-and ratios agree bit for bit; the census and enumeration build the five (n, shift) pairs
-of :data:`INTERNAL_ORDERS` once per call.
+A path through the device is the triple of internal diffraction orders (n1, n2, n3)
+with n1 + n2 + n3 equal to the device's total order N.  Bounce i leaves at the sine
+cos(epsilon) + j_i * lambda / a, with the sine indices j1 = n1 - N, j2 = n1 + n2 - N
+and j3 = 0: the exit bounce always propagates.  So the surviving paths change only
+where lambda / a crosses a threshold, and :func:`_census_table` lists them once per
+exit angle and |N|.  Each surviving path fixes the two internal angles, the geometry
+ratio d/s (the first-to-third reflection span over the plate separation), which
+depends on the unordered pair {j1, j2} alone and so names the path's group, and the
+transmission rate, the product of the per-bounce diffraction populations.  The device
+realizes the most transmissive path whose l/s band holds its own l/s ratio
+(:func:`select_path`).  Enumeration and selection compute the sines with the same
+float expressions, so their angles and ratios agree bit for bit.
 
 The beamline's domain objects (beam, pinholes, beamline), the sampling
 grid's bounds and the baseline's defaults live here too, so that selecting a
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import functools
 import math
+from bisect import bisect_left
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -33,9 +35,6 @@ from .diffraction import (
     _incidence,
 )
 from .errors import ConfigurationError, EmptyTransmissionError
-
-#: Relative tolerance used to merge paths with equal geometry ratio.
-GROUP_RTOL = 1e-9
 
 #: The internal orders n1 and n2 each range over [-2, 2]: the paper's 25 (n1, n2) pairs.
 INTERNAL_ORDERS = range(-2, 3)
@@ -180,19 +179,42 @@ def _transmission(probs: dict, n1: int, n2: int, n3: int) -> float | None:
     return None if p1 is None or p2 is None or p3 is None else p1 * p2 * p3
 
 
-def _sines(setting, particle, grating, v):
-    """sin(theta_inc) at velocity v, and the step: order n shifts a sine by n * step.
+@functools.lru_cache(maxsize=64)
+def _census_table(theta_out: float, total: int):
+    """(limits, rows) of the exit angle ``theta_out`` and |N| = ``total``.
 
-    One solve gives both: the step is the wavelength ratio lambda / period that
-    :func:`~mwmono.diffraction.incidence_for_output`'s angle was solved with.  The sine is
-    taken of that angle, not read from the arcsin's argument, which differs in the last bit.
+    Index j propagates while the step lambda / a is at most (1 - cos(epsilon)) / j for
+    j > 0, or (1 + cos(epsilon)) / |j| for j < 0; ``limits`` are those bounds, distinct and
+    ascending.  ``rows[bisect_left(limits, step)]`` is the frozenset of (n1, n2) whose j1
+    and j2 both propagate at ``step``, and their census (considered, surviving, groups),
+    a group being one unordered pair {j1, j2}.
+    """
+    cos_eps = math.cos(math.pi / 2 - theta_out)  # as _incidence computes it
+    limit = {j: (1.0 - cos_eps) / j if j > 0 else (1.0 + cos_eps) / -j
+             for j in range(-4 - total, 5 - total) if j}
+    pairs = {}  # (n1, n2) -> (its limit, {j1, j2})
+    for n1 in INTERNAL_ORDERS:
+        for n2 in INTERNAL_ORDERS:
+            js = n1 - total, n1 + n2 - total
+            pairs[n1, n2] = (min(limit.get(j, math.inf) for j in js), frozenset(js))
+    limits = sorted(set(limit.values()))
+    rows = []
+    for floor in (-math.inf, *limits):
+        alive = {pair: js for pair, (lim, js) in pairs.items() if lim > floor}
+        rows.append((frozenset(alive), (len(pairs), len(alive), len(set(alive.values())))))
+    return tuple(limits), tuple(rows)
 
-    Each walker writes that shift as ``n * step if n else 0.0``: the specular shift is 0.0,
-    not 0 * step, which is nan once the momentum underflows and the step is inf.  A sine is
-    rejected by ``s > 1.0 or s < -1.0``; both comparisons are false for NaN, so NaN passes.
+
+def _surviving(setting, particle, grating, v):
+    """(theta_inc, step, (alive, census)) at v: :func:`~mwmono.diffraction._incidence`'s
+    solve, with its errors, and the step's row of :func:`_census_table`.
+
+    Order n shifts a sine by ``n * step if n else 0.0``: 0.0, not 0 * step, which is nan once
+    the step is inf.  A surviving sine lies in [-1, 1] up to rounding, and is clamped there.
     """
     theta_inc, step = _incidence(setting, particle, grating, v)
-    return math.sin(theta_inc), step
+    limits, rows = _census_table(setting.theta_out, abs(setting.total_order))
+    return theta_inc, step, rows[bisect_left(limits, step)]
 
 
 def enumerate_paths(
@@ -205,27 +227,26 @@ def enumerate_paths(
 
     n1 and n2 range over :data:`INTERNAL_ORDERS`; n3 is fixed by order
     conservation.  A combination survives when both internal diffraction
-    angles exist (no evanescent order).  An empty list is a valid result.
+    angles exist (no evanescent order), as :func:`path_census` counts; the
+    exit bounce always does.  An empty list is a valid result.
     """
-    sin_inc, step = _sines(setting, particle, grating, v)
-    total, probs = abs(setting.total_order), grating.reflection_probabilities
+    theta_inc, step, (alive, _) = _surviving(setting, particle, grating, v)
+    sin_inc, total = math.sin(theta_inc), abs(setting.total_order)
+    probs = grating.reflection_probabilities
     shifts = [(n, n * step if n else 0.0) for n in INTERNAL_ORDERS]
     paths = []
     for n1, shift1 in shifts:
-        s1 = sin_inc + shift1
-        if s1 > 1.0 or s1 < -1.0:
+        if (n1, 0) not in alive:  # j2 = j1 at n2 = 0: the first bounce is evanescent
             continue
-        alpha1, rest = math.asin(s1), total - n1
+        s1 = sin_inc + shift1
+        alpha1, rest = math.asin(1.0 if s1 > 1.0 else -1.0 if s1 < -1.0 else s1), total - n1
         tan1 = math.tan(alpha1)
         for n2, shift2 in shifts:
-            s2 = s1 + shift2
-            n3 = rest - n2
-            s3 = s2 + (n3 * step if n3 else 0.0)
-            if s2 > 1.0 or s2 < -1.0 or s3 > 1.0 or s3 < -1.0:
-                continue
-            alpha2 = math.asin(s2)
-            paths.append(DiffractionPath(n1, n2, n3, alpha1, alpha2, tan1 + math.tan(alpha2),
-                                         _transmission(probs, n1, n2, n3)))
+            if (n1, n2) in alive:
+                s2 = s1 + shift2
+                alpha2, n3 = math.asin(1.0 if s2 > 1.0 else -1.0 if s2 < -1.0 else s2), rest - n2
+                paths.append(DiffractionPath(n1, n2, n3, alpha1, alpha2, tan1 + math.tan(alpha2),
+                                             _transmission(probs, n1, n2, n3)))
     return paths
 
 
@@ -235,22 +256,19 @@ def feasibility_band(path: DiffractionPath, setting: MonochromatorSetting) -> Fe
     return FeasibilityBand(lower=lower, upper=lower + math.tan(setting.theta_out))
 
 
-@functools.lru_cache(maxsize=64)
-def _ranked_combinations(probabilities: tuple[tuple[int, float], ...], total: int):
-    """:func:`select_path`'s candidates, best first, as one tuple of (n1, n2, n3) triples.
-
-    The candidates are the (n1, n2) combinations whose three reflection probabilities
-    ``probabilities`` (the grating's ``rates``) all define, ordered by
-    (transmission, -|n1|, orders) from the highest.  That order holds at every velocity.
-    """
+@functools.lru_cache(maxsize=256)
+def _ranked_combinations(probabilities: tuple[tuple[int, float], ...], total: int, alive):
+    """:func:`select_path`'s candidates, best first, as one tuple of (n1, n2, n3) triples:
+    the (n1, n2) of ``alive``, a row of :func:`_census_table`, whose three reflection
+    probabilities ``probabilities`` (the grating's ``rates``) all define, ordered by
+    (transmission, -|n1|, orders) from the highest."""
     probs = dict(probabilities)
     keys = {}
-    for n1 in INTERNAL_ORDERS:
-        for n2 in INTERNAL_ORDERS:
-            n3 = total - n1 - n2
-            transmission = _transmission(probs, n1, n2, n3)
-            if transmission is not None:
-                keys[n1, n2, n3] = (transmission, -abs(n1), (n1, n2, n3))
+    for n1, n2 in alive:
+        n3 = total - n1 - n2
+        transmission = _transmission(probs, n1, n2, n3)
+        if transmission is not None:
+            keys[n1, n2, n3] = (transmission, -abs(n1), (n1, n2, n3))
     return tuple(sorted(keys, key=keys.__getitem__, reverse=True))
 
 
@@ -271,23 +289,22 @@ def select_path(
     same exit angle and can pass those pinholes too (from about 600 m/s at
     the defaults), but they are left out of the throughput.
 
-    The walk is best first: the candidates' order depends only on the
-    grating's probabilities and |N|, and is cached on those two as one flat
-    tuple, so at each velocity the angles are computed only for the
-    propagating candidates up to the first feasible one.
+    The walk is best first: the candidates are the surviving paths of
+    :func:`enumerate_paths`, and their order depends only on the grating's
+    probabilities and |N|.  The ranking is cached on those two and the
+    surviving set as one flat tuple, so at each velocity the angles are
+    computed only up to the first feasible candidate.
     """
     probs = grating.reflection_probabilities
-    ranked = _ranked_combinations(grating.rates, abs(setting.total_order))
     ratio = device.length / device.separation
     width = math.tan(setting.theta_out)  # of every path's band; see feasibility_band
-    sin_inc, step = _sines(setting, particle, grating, v)
-    for n1, n2, n3 in ranked:
+    theta_inc, step, (alive, _) = _surviving(setting, particle, grating, v)
+    sin_inc = math.sin(theta_inc)
+    for n1, n2, n3 in _ranked_combinations(grating.rates, abs(setting.total_order), alive):
         s1 = sin_inc + (n1 * step if n1 else 0.0)
         s2 = s1 + (n2 * step if n2 else 0.0)
-        s3 = s2 + (n3 * step if n3 else 0.0)
-        if s1 > 1.0 or s1 < -1.0 or s2 > 1.0 or s2 < -1.0 or s3 > 1.0 or s3 < -1.0:
-            continue
-        alpha1, alpha2 = math.asin(s1), math.asin(s2)
+        alpha1 = math.asin(1.0 if s1 > 1.0 else -1.0 if s1 < -1.0 else s1)
+        alpha2 = math.asin(1.0 if s2 > 1.0 else -1.0 if s2 < -1.0 else s2)
         lower = math.tan(alpha1) + math.tan(alpha2)
         if lower < ratio < lower + width:
             # _transmission's product, from this grating: rates 1 and 1.0 share a cache key
@@ -297,34 +314,26 @@ def select_path(
     raise EmptyTransmissionError(f"no feasible path at v = {v} m/s for l/s = {ratio:.3g}")
 
 
-def _group_limit(ref: float) -> float:
-    """Largest distance from ``ref``, a group's first (smallest) ratio, at which a ratio
-    joins the group: ``ratio`` joins when ``abs(ratio - ref) <= _group_limit(ref)``."""
-    return GROUP_RTOL * max(1.0, abs(ref))
-
-
 class PathGroup(NamedTuple):
-    """Paths sharing a geometry ratio (indistinguishable in the device plane)."""
+    """Paths of one sine-index pair, so of one geometry ratio (alike in the device plane)."""
 
     geometry_ratio: float
     members: tuple[DiffractionPath, ...]
 
 
 def group_paths_by_geometry(paths: list[DiffractionPath]) -> list[PathGroup]:
-    """Cluster paths whose geometry ratios agree within ``GROUP_RTOL`` (relative).
+    """Group paths by their unordered sine-index pair {n3, n2 + n3}, which is {-j2, -j1}.
 
-    Groups are returned ordered by increasing ratio; members keep their
-    individual transmission rates.
+    d/s depends on that pair alone, so a symmetric pair (n1, n2, n3) / (n1 + n2, -n2,
+    N - n1), which swaps the two internal angles, forms one group, although rounding may
+    part the two ratios.  Groups are returned ordered by their smallest ratio, which is
+    the group's ``geometry_ratio``; members are ordered by (ratio, n1, n2, n3) and keep
+    their individual transmission rates.
     """
-    clusters: list[tuple[float, list[DiffractionPath]]] = []
+    groups: dict[frozenset, list[DiffractionPath]] = {}
     for path in sorted(paths, key=attrgetter("geometry_ratio", "n1", "n2", "n3")):
-        ratio = path.geometry_ratio
-        if clusters and abs(ratio - clusters[-1][0]) <= limit:
-            clusters[-1][1].append(path)
-        else:
-            clusters.append((ratio, [path]))
-            limit = _group_limit(ratio)
-    return [PathGroup(ref, tuple(members)) for ref, members in clusters]
+        groups.setdefault(frozenset((path.n3, path.n2 + path.n3)), []).append(path)
+    return [PathGroup(members[0].geometry_ratio, tuple(members)) for members in groups.values()]
 
 
 def path_census(
@@ -337,32 +346,9 @@ def path_census(
 
     ``considered`` is the 25 combinations of (n1, n2) in :data:`INTERNAL_ORDERS`;
     ``surviving`` counts those whose two internal orders both propagate;
-    ``groups`` counts the clusters of surviving paths with equal d/s within
-    ``GROUP_RTOL``, so each symmetric pair (n1, n2, n3) / (n1 + n2, -n2,
-    N - n1), which swaps the two internal angles, forms one group.  They are
-    counted from the sorted ratios by :func:`group_paths_by_geometry`'s rule,
-    without building path records or groups.
+    ``groups`` counts their distinct unordered sine-index pairs {j1, j2}, the groups of
+    :func:`group_paths_by_geometry`.  The census changes only where lambda / a crosses a
+    propagation threshold, so it is read from :func:`_census_table` after solving the
+    velocity, with no angle computed.
     """
-    sin_inc, step = _sines(setting, particle, grating, v)
-    total, asin, tan = abs(setting.total_order), math.asin, math.tan
-    shifts = [(n, n * step if n else 0.0) for n in INTERNAL_ORDERS]
-    ratios = []  # each survivor's d/s
-    for n1, shift1 in shifts:
-        s1 = sin_inc + shift1
-        if s1 > 1.0 or s1 < -1.0:
-            continue
-        tan1, rest = tan(asin(s1)), total - n1
-        for n2, shift2 in shifts:
-            s2 = s1 + shift2
-            n3 = rest - n2
-            s3 = s2 + (n3 * step if n3 else 0.0)
-            if s2 > 1.0 or s2 < -1.0 or s3 > 1.0 or s3 < -1.0:
-                continue
-            ratios.append(tan1 + tan(asin(s2)))
-    ratios.sort()
-    groups, ref, limit = 0, 0.0, 0.0
-    for ratio in ratios:
-        if not groups or not abs(ratio - ref) <= limit:
-            size = abs(ratio)
-            groups, ref, limit = groups + 1, ratio, GROUP_RTOL * (size if size > 1.0 else 1.0)
-    return len(INTERNAL_ORDERS) ** 2, len(ratios), groups
+    return _surviving(setting, particle, grating, v)[2][1]

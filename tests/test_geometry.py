@@ -16,7 +16,6 @@ from mwmono import (
     path_census,
     select_path,
 )
-from mwmono.geometry import GROUP_RTOL, _group_limit
 
 
 def make_path(n1, n2, n3, alpha1=0.3, alpha2=0.4, transmission=1e-4):
@@ -175,29 +174,49 @@ class TestGrouping:
                 checked += 1
             assert checked >= 2
 
-    def test_input_order_does_not_matter(self, setting, helium, grating):
-        # Symmetric pairs tie on the ratio; the orders break the tie.
-        paths = enumerate_paths(setting, helium, grating, 1000.0)
-        assert group_paths_by_geometry(paths[::-1]) == group_paths_by_geometry(paths)
+    @pytest.mark.parametrize("theta_out_deg, v", [(85.0, 1000.0), (89.99, 1179.0),
+                                                  (89.9999999, 572.0)])
+    def test_input_order_does_not_matter(self, helium, grating, theta_out_deg, v):
+        # Symmetric pairs tie on the ratio or differ in its last digits; the orders break the tie.
+        setting = MonochromatorSetting(theta_out=math.radians(theta_out_deg))
+        paths = enumerate_paths(setting, helium, grating, v)
+        expected = group_paths_by_geometry(paths)
+        for shuffled in (paths[::-1], paths[1::2] + paths[::2]):
+            assert group_paths_by_geometry(shuffled) == expected
 
-    @pytest.mark.parametrize("ref, at", [
-        # |ref| below 1: the tolerance is GROUP_RTOL itself.
-        (0.0, 1e-9), (1e-9, 2e-9), (-2e-9, -1e-9),
-        # |ref| above 1: the tolerance is GROUP_RTOL * |ref|.
-        (1e9, 1e9 + 1.0), (2.5e9, 2.5e9 + 2.5), (-4e9, -4e9 + 4.0),
-    ])
-    def test_tolerance_boundary(self, ref, at):
-        # The census and the grouping share this rule: a ratio exactly the
-        # tolerance away from the group's first ratio joins it, the next
-        # float beyond starts a new group.
-        assert at - ref == GROUP_RTOL * max(1.0, abs(ref))  # exact, no rounding
-        beyond = math.nextafter(at, math.inf)
-        assert abs(at - ref) <= _group_limit(ref)
-        assert not abs(beyond - ref) <= _group_limit(ref)
-        base = make_path(0, 0, 1)
-        for ratio, groups in ((at, 1), (beyond, 2)):
-            paths = [base._replace(geometry_ratio=r) for r in (ratio, ref)]
-            assert len(group_paths_by_geometry(paths)) == groups
+    def test_a_symmetric_pair_joins_although_its_ratios_differ(self, helium, grating):
+        # Near grazing exit the float d/s of (1, -2, 2) and (-1, 2, 0), index pair {-2, 0},
+        # differ by 3.6e-9 relative; they still form one group, and 17 paths form 12.
+        setting = MonochromatorSetting(theta_out=math.radians(89.99))
+        paths = {p.orders: p for p in enumerate_paths(setting, helium, grating, 1179.0)}
+        first, second = paths[1, -2, 2], paths[-1, 2, 0]
+        assert 3.6e-9 < second.geometry_ratio / first.geometry_ratio - 1.0 < 3.7e-9
+        groups = group_paths_by_geometry(list(paths.values()))
+        assert (len(paths), len(groups)) == (17, 12)
+        assert PathGroup(first.geometry_ratio, (first, second)) in groups
+
+    def test_equal_ratios_of_two_index_pairs_stay_apart(self, helium, grating):
+        # At 89.9999999 degrees the pairs {-2, 0} and {-1, 0} both meet a bounce at 90 degrees,
+        # and all four paths' d/s are the same float; they still form two groups.
+        setting = MonochromatorSetting(theta_out=math.radians(89.9999999))
+        paths = {p.orders: p for p in enumerate_paths(setting, helium, grating, 572.0)}
+        two = [paths[1, -2, 2], paths[-1, 2, 0]]  # {n3, n2 + n3} = {2, 0}
+        one = [paths[0, 1, 0], paths[1, -1, 1]]  # {0, 1}
+        assert len({p.geometry_ratio for p in two + one}) == 1
+        groups = group_paths_by_geometry(list(paths.values()))
+        assert (len(paths), len(groups)) == (14, 9)
+        assert [set(g.members) for g in groups if set(g.members) & set(two + one)] == [
+            set(two), set(one)]
+
+    def test_the_key_is_read_from_the_record_alone(self):
+        # (0, -1, 2) and (-1, 1, 1) share {n3, n2 + n3} = {1, 2} and join at any ratios;
+        # (1, 0, 0), {0, 0}, stays apart at a ratio equal to one of theirs.
+        a = make_path(0, -1, 2, alpha1=0.3, alpha2=0.4)
+        b = make_path(-1, 1, 1, alpha1=0.9, alpha2=0.3)
+        c = make_path(1, 0, 0, alpha1=0.3, alpha2=0.4)
+        assert a.geometry_ratio == c.geometry_ratio < b.geometry_ratio
+        assert group_paths_by_geometry([b, c, a]) == [
+            PathGroup(a.geometry_ratio, (a, b)), PathGroup(c.geometry_ratio, (c,))]
 
     def test_groups_are_ordered_and_cover_all_paths(self, setting, helium, grating):
         paths = enumerate_paths(setting, helium, grating, 1000.0)

@@ -40,9 +40,12 @@ CASES = [
     (["paths", "--v", "1000"], "paths_1000.csv", 0),
     (["paths", "--v", "300"], "paths_300.csv", 0),
     (["paths", "--v", "5000", "--format", "json"], "paths_5000.json", 0),
-    # Near grazing exit the rounded third-bounce sine rejects 3 paths.
+    # Near grazing exit: the exit sine rounds above 1, and two groups' d/s agree to 16 digits.
     (["paths", "--v", "572", "--theta-out-deg", "89.9999999", "--format", "json"],
      "paths_572_grazing.json", 0),
+    # A symmetric pair whose d/s differ by 3.6e-9 relative: 17 paths in 12 groups.
+    (["paths", "--v", "1179", "--theta-out-deg", "89.99", "--format", "csv"],
+     "paths_1179_grazing.csv", 0),
     (["--dump-default-config"], "default_config.yaml", 0),
     # One populated bin, and a wide baseline passband.
     (["simulate", "--v-center", "300"], "simulate_300.json", 0),

@@ -30,6 +30,8 @@ from mwmono import (
     incidence_for_output,
     path_census,
     select_path,
+    simulate_beam,
+    single_reflection_baseline,
     trace_velocity,
     velocity_divergence,
 )
@@ -43,7 +45,7 @@ from mwmono.beamline import (
     _traced_rows,
 )
 from mwmono.diffraction import HBAR, wavelength_ratio
-from mwmono.geometry import _sines
+from mwmono.geometry import _surviving
 
 HELIUM = Particle(mass=6.6464731e-27)
 GRATING = Grating(period=3.383e-10, reflection_probabilities={0: 0.06, 1: 0.03, 2: 0.015})
@@ -185,16 +187,39 @@ def test_census_counts_the_groups_of_the_enumerated_records(theta_out, n, v):
         assert p.orders == keyword.orders == (p.n1, p.n2, p.n3)
 
 
+@settings(max_examples=300, deadline=None)
+@example(theta_out=math.radians(89.99), n=-1, v=1179.0)
+@given(theta_out=st.floats(min_value=math.radians(1.0), max_value=math.radians(89.99)),
+       n=st.sampled_from([-1, -2, 1, 3]), v=velocities)
+def test_groups_are_the_index_pairs_of_the_enumerated_paths(theta_out, n, v):
+    # Bounce i leaves at the sine cos(epsilon) + j_i * lambda / a, with j1 = n1 - N and
+    # j2 = n1 + n2 - N, and d/s depends on {j1, j2} alone: each group holds the paths of one
+    # such pair, one group per pair, whatever rounding does to the ratios.
+    setting = MonochromatorSetting(theta_out=theta_out, total_order=n)
+    try:
+        paths = enumerate_paths(setting, HELIUM, GRATING, v)
+    except BelowCutoffError:
+        return
+    total = abs(n)
+
+    def pair(p):
+        return frozenset((p.n1 - total, p.n1 + p.n2 - total))
+
+    groups = group_paths_by_geometry(paths)
+    assert [len({pair(p) for p in g.members}) for g in groups] == [1] * len(groups)
+    assert len(groups) == len({pair(p) for p in paths})
+    assert path_census(setting, HELIUM, GRATING, v) == (25, len(paths), len(groups))
+
+
 def _solve_in_steps(setting, v):
     """The incidence solve step by step: the wavelength ratio, cos(epsilon) - |N| * ratio,
-    its arcsin, then the path layer's sine of that angle and the ratio as its step."""
+    and its arcsin; the path layer's step is that ratio."""
     ratio = wavelength_ratio(HELIUM, GRATING, v)
     n = abs(setting.total_order)
     arg = math.cos(setting.epsilon) - (n * ratio if n else 0.0)  # 0 * inf is nan
     if arg < 0.0:
         raise BelowCutoffError(v, setting.total_order, cutoff_velocity(setting, HELIUM, GRATING))
-    theta_inc = math.asin(arg)
-    return theta_inc, (math.sin(theta_inc), ratio)
+    return math.asin(arg), ratio
 
 
 @settings(max_examples=500, deadline=None)
@@ -208,20 +233,20 @@ def _solve_in_steps(setting, v):
        n=st.sampled_from([0, 1, -1, -2, 3, 10**9, -10**9]),
        v=st.floats(min_value=5e-324, max_value=1e30) | velocities)
 def test_incidence_solve_matches_its_steps_bit_for_bit(theta_out, n, v):
-    # incidence_for_output and the path layer's (sine, step) are the stepwise solve's floats
+    # incidence_for_output and the path layer's (angle, step) are the stepwise solve's floats
     # exactly, and raise its exceptions with its messages.
     setting = MonochromatorSetting(theta_out=theta_out, total_order=n)
     try:
-        theta_inc, sines = _solve_in_steps(setting, v)
+        theta_inc, ratio = _solve_in_steps(setting, v)
     except MonochromatorError as exc:
-        for solve in (incidence_for_output, _sines):
+        for solve in (incidence_for_output, _surviving):
             with pytest.raises(type(exc)) as info:
                 solve(setting, HELIUM, GRATING, v)
             assert type(info.value) is type(exc)
             assert str(info.value) == str(exc)
         return
     assert incidence_for_output(setting, HELIUM, GRATING, v) == theta_inc
-    assert _sines(setting, HELIUM, GRATING, v) == sines
+    assert _surviving(setting, HELIUM, GRATING, v)[:2] == (theta_inc, ratio)
 
 
 def _best_enumerated_path(setting, grating, v, device):
@@ -279,15 +304,15 @@ def test_select_path_is_the_best_enumerated_feasible_path_over_the_default_sweep
                 == _outcome(_best_enumerated_path, setting, grating, float(v), device))
 
 
-def test_select_path_skips_a_best_path_whose_exit_sine_rounds_above_one():
+def test_select_path_keeps_a_best_path_whose_exit_sine_rounds_above_one():
     # The top-ranked (-1, -1, 3), rate 0.25, has both internal sines in [-1, 1] and a band
-    # holding l/s = 10, but its exit sine rounds to 1.0000000000000002: the third-sine test
-    # rejects it, and (1, -1, 1) fails its band, so the walk goes on to (-1, 1, 1).
+    # holding l/s = 10.  Its exit sine rounds to 1.0000000000000002, but the third bounce
+    # leaves at the exit angle by construction (index 0), so the path survives.
     setting = MonochromatorSetting(theta_out=GRAZING_THETA_OUT, total_order=-1)
     grating = Grating(period=GRATING.period,
                       reflection_probabilities={0: 0.1, 1: 0.5, 2: 0.1, 3: 1.0})
     device = DeviceGeometry(separation=1.0, length=10.0)
-    assert select_path(setting, HELIUM, grating, 572.0, device).orders == (-1, 1, 1)
+    assert select_path(setting, HELIUM, grating, 572.0, device).orders == (-1, -1, 3)
 
 
 def test_census_counts_the_groups_of_the_enumerated_records_over_the_default_sweep():
@@ -304,14 +329,15 @@ diameters = st.floats(min_value=-12.0, max_value=3.0).map(lambda e: 10.0 ** e)
 
 
 def _pinhole_passes(theta_exit, theta_ref, pinholes, dx):
-    """Cells of exit-point displacement ``dx`` passing every pinhole, each evaluated."""
+    """Cells of exit-point displacement ``dx`` passing every pinhole, each evaluated; a ray
+    passes only if it heads downstream, towards the pinhole planes."""
     rel = theta_exit - theta_ref
     along = dx * math.cos(theta_ref)
     passed = np.ones(np.broadcast_shapes(rel.shape, dx.shape), dtype=bool)
     for ph in pinholes:
         t = (ph.distance - dx * math.sin(theta_ref)) / np.cos(rel)
         off = along + t * np.sin(rel)
-        passed &= (off >= -ph.diameter / 2) & (off <= ph.diameter / 2)
+        passed &= (np.cos(rel) > 0.0) & (off >= -ph.diameter / 2) & (off <= ph.diameter / 2)
     return passed
 
 
@@ -329,13 +355,15 @@ def _kernel_counts(spec, bl, p, g, nv, nu, device):
                                bl.exit_pinholes, bl.device)
 
 
-def _every_cell_counts(spec, bl, p, g, nv, nu, device):
-    """Per-row passing offsets with every cut evaluated on every grid cell."""
+def _every_cell_counts(spec, bl, p, g, nv, nu, device,
+                       baseline=(BASELINE_THETA_INC, BASELINE_ORDER)):
+    """Per-row passing offsets with every cut evaluated on every grid cell; without the
+    device, the ``baseline`` (incidence angle, order) bounces once."""
     vbar = spec.center_velocity
     velocities = np.linspace(vbar - spec.full_width / 2, vbar + spec.full_width / 2, nv)
     offsets = np.linspace(-bl.source_diameter / 2, bl.source_diameter / 2, nu)
     if not device:
-        theta_inc, order = BASELINE_THETA_INC, BASELINE_ORDER
+        theta_inc, order = baseline
         step = (2.0 * math.pi * HBAR / (p.mass * g.period) / velocities)[:, None]
         s_exit = math.sin(theta_inc) + order * step
         theta_ref = math.asin(math.sin(theta_inc) + order * (
@@ -461,9 +489,10 @@ FLAT_AND_REVERSED_ROWS = [
     (0.1013, math.pi / 2, 30.0, 41),
     (0.1013, math.pi / 2, 2 * 0.3 * float(np.tan(np.arcsin(1.0) - 0.1013)), 41),
     (0.1013, math.pi / 2, 1e-2, 0),
-    # A row exiting far below the reference has a negative slope; the pinhole
-    # edge lies between columns, so the row passes in part, as every cell says.
-    (1.3, -1.3, 2 * (0.3 * math.tan(-2.6) + 0.31 * 3.7e-4), None),
+    # A row exiting far below the reference (rel = -2.6 rad) heads away from the
+    # pinhole plane, so no column passes, although the line through the row
+    # crosses the pinhole between columns.
+    (1.3, -1.3, 2 * (0.3 * math.tan(-2.6) + 0.31 * 3.7e-4), 0),
 ]
 
 
@@ -474,21 +503,15 @@ def test_pinhole_bounds_of_flat_and_reversed_rows(theta_ref, theta_exit, diamete
     dx = np.linspace(-1e-3, 1e-3, 41)
     lo, hi = _pinhole_bounds(theta_exit, theta_ref, pinholes)
     assert not np.isnan(lo).any() and not np.isnan(hi).any()
-    counts = _row_counts(np.array([True]), dx, lo, hi)
-    if expected is None:
-        every = _pinhole_passes(theta_exit[:, None], theta_ref, pinholes, dx).sum(axis=1)
-        assert 0 < counts[0] < dx.size
-        assert np.array_equal(counts, every)
-    else:
-        assert counts[0] == expected
+    assert _row_counts(np.array([True]), dx, lo, hi)[0] == expected
 
 
 @pytest.mark.parametrize("theta_ref, theta_exit, diameter, expected", FLAT_AND_REVERSED_ROWS)
 def test_traced_rows_hold_the_flat_and_reversed_rows(theta_ref, theta_exit, diameter, expected):
-    # The flat rows at pi/2 and the reversed row, with rel near -pi, pass
-    # wherever the bounds and counts above pass them, so they must be traced.
-    # Here a row is traced exactly when it passes: the narrow pinhole bounds
-    # rel far below pi/2 - 0.1013 and leaves the flat row out.
+    # The flat rows at pi/2 and the reversed row, with rel near -pi, are traced
+    # exactly when the bounds and counts above pass them: the narrow pinhole
+    # bounds rel far below pi/2 - 0.1013 and leaves the flat row out, and the
+    # pinhole leaves out the row heading away.
     pinholes = (Pinhole(abs(diameter), 0.3),)
     dx = np.linspace(-1e-3, 1e-3, 41)
     exit_sine = np.sin([theta_exit, theta_ref])  # the reference row last
@@ -498,3 +521,131 @@ def test_traced_rows_hold_the_flat_and_reversed_rows(theta_ref, theta_exit, diam
     lo, hi = _pinhole_bounds(theta_exit, theta_ref, pinholes)
     counts = _row_counts(np.array([True]), dx, lo, hi)
     assert (0 in rows) == (counts[0] > 0)
+
+
+def test_a_pinhole_within_reach_passes_no_reversed_row():
+    # A 1 mm pinhole 0.5 mm off lies within reach of exit points up to 1 mm off, where
+    # the line through the row at rel = -2.6 rad crosses it on 33 of 41 columns; the row
+    # heads away from the pinhole plane, so it passes none and is not traced.
+    pinholes = (Pinhole(1e-3, 5e-4),)
+    theta_exit = np.arcsin(np.sin([-1.3, 1.3]))  # the reference row last
+    lo, hi = _pinhole_bounds(theta_exit[:1], 1.3, pinholes)
+    assert _row_counts(np.array([True]), np.linspace(-1e-3, 1e-3, 41), lo, hi)[0] == 0
+    assert _traced_rows(theta_exit, 1e-3, pinholes).tolist() == [1]
+
+
+def test_baseline_rows_leaving_away_from_the_pinhole_pass_nothing():
+    # At a 89.9 degree baseline incidence the slow rows of a 50,000 +- 49,850 m/s beam leave
+    # far below the reference ray (rel = -158.5 degrees at 150 m/s), away from a 2 m pinhole
+    # 1 m off.  The line through such a row crosses the pinhole; the ray does not.
+    cfg = RunConfig.from_dict({})
+    bl = cfg.beamline()._replace(exit_pinholes=(Pinhole(2.0, 1.0),))
+    spec, p, g = BeamSpec(50000.0, 99700.0), cfg.particle(), cfg.grating()
+    theta_inc = math.radians(89.9)
+    velocities, offsets = _axes(spec, bl, 2001, 201)
+    counts = _counts(velocities, offsets, spec.center_velocity, theta_inc, (-1,), p, g,
+                     bl.exit_pinholes)
+    assert counts[0] == 0
+    assert counts.any()
+    assert np.array_equal(counts, _every_cell_counts(spec, bl, p, g, 2001, 201, False,
+                                                     baseline=(theta_inc, -1)))
+
+
+#: Lengths of the invariance properties, in m.  Each is at least 1e-4 and at most 2, and
+#: the masses, periods and velocities stay within a factor 16 of the defaults, so scaling
+#: by k = 2**i with |i| <= 3 keeps every value, and every product and quotient the model
+#: forms, between 1e-60 and 1e60: far from underflow (2**-1022) and overflow (2**1024).
+#: Scaling by a power of two is then exact, and every figure must be equal, not close.
+lengths = st.floats(min_value=1e-4, max_value=2.0)
+powers_of_two = st.integers(min_value=-3, max_value=3).map(lambda i: 2.0 ** i)
+
+
+@st.composite
+def runs(draw):
+    """A beamline, beam and grid: exit angle, order, source, one or two exit pinholes,
+    plates, centre velocity and width."""
+    pinholes = [Pinhole(draw(lengths), draw(lengths)) for _ in range(draw(st.integers(1, 2)))]
+    bl = Beamline(
+        source_diameter=draw(lengths),
+        exit_pinholes=tuple(sorted(pinholes, key=lambda ph: ph.distance)),
+        device=DeviceGeometry(separation=draw(lengths), length=draw(lengths)),
+        setting=MonochromatorSetting(theta_out=math.radians(draw(st.floats(30.0, 89.0))),
+                                     total_order=draw(st.sampled_from([-1, -2, 1]))),
+    )
+    spec = BeamSpec(draw(st.floats(min_value=600.0, max_value=5000.0)),
+                    draw(st.floats(min_value=10.0, max_value=1000.0)))
+    return bl, spec, draw(st.integers(3, 200)), draw(st.integers(1, 40))
+
+
+DEFAULT_RUN = (RunConfig.from_dict({}).beamline(), BeamSpec(1000.0), 201, 21)
+
+
+def _kernel_figures(spec, bl, p, g, nv, nu, per_velocity=1.0):
+    """Both kernels' weights, S, throughput, std and mean, the last two times
+    ``per_velocity``, or the type of the error each raised."""
+    figures = []
+    for kernel in (simulate_beam, single_reflection_baseline):
+        try:
+            r = kernel(spec, bl, p, g, velocity_bins=nv, offset_samples=nu)
+        except MonochromatorError as exc:
+            figures.append(type(exc))
+        else:
+            figures.append((r.weights.tolist(), r.speed_ratio, r.throughput,
+                            r.delta_v_std * per_velocity, r.mean_velocity * per_velocity))
+    return figures
+
+
+def _path_figures(bl, p, g, v):
+    """The census and the selected path at v, or the type of the error each raised."""
+    figures = []
+    for walk in (path_census, lambda *a: select_path(*a, bl.device)):
+        try:
+            figures.append(walk(bl.setting, p, g, v))
+        except MonochromatorError as exc:
+            figures.append(type(exc))
+    return figures
+
+
+@settings(max_examples=100, deadline=None)
+@example(run=DEFAULT_RUN, k=2.0)
+@given(run=runs(), k=powers_of_two)
+def test_scaling_every_length_changes_no_figure(run, k):
+    # Range: see ``lengths``; the scaled lengths lie in [1.25e-5, 16] m.
+    bl, spec, nv, nu = run
+    scaled = bl._replace(
+        source_diameter=bl.source_diameter * k,
+        exit_pinholes=tuple(Pinhole(ph.diameter * k, ph.distance * k) for ph in bl.exit_pinholes),
+        device=DeviceGeometry(bl.device.separation * k, bl.device.length * k),
+    )
+    assert (_kernel_figures(spec, scaled, HELIUM, GRATING, nv, nu)
+            == _kernel_figures(spec, bl, HELIUM, GRATING, nv, nu))
+
+
+@settings(max_examples=100, deadline=None)
+@example(run=DEFAULT_RUN, k=0.125)
+@given(run=runs(), k=powers_of_two)
+def test_scaling_the_mass_up_and_the_velocities_down_changes_no_figure(run, k):
+    # lambda = h / (m v) keeps its float, and the velocities, mean and std scale by 1 / k.
+    # Range: see ``lengths``; m k lies in [8e-28, 6e-26] kg and v / k in [75, 40000] m/s.
+    bl, spec, nv, nu = run
+    heavy = Particle(HELIUM.mass * k)
+    slow = BeamSpec(spec.center_velocity / k, spec.full_width / k)
+    assert (_kernel_figures(slow, bl, heavy, GRATING, nv, nu, per_velocity=k)
+            == _kernel_figures(spec, bl, HELIUM, GRATING, nv, nu))
+    assert (_path_figures(bl, heavy, GRATING, slow.center_velocity)
+            == _path_figures(bl, HELIUM, GRATING, spec.center_velocity))
+
+
+@settings(max_examples=100, deadline=None)
+@example(run=DEFAULT_RUN, k=8.0)
+@given(run=runs(), k=powers_of_two)
+def test_scaling_the_period_up_and_the_mass_down_changes_no_figure(run, k):
+    # m a, and so lambda / a, keep their floats.
+    # Range: see ``lengths``; a k lies in [4e-11, 3e-9] m and m / k in [8e-28, 6e-26] kg.
+    bl, spec, nv, nu = run
+    wide = Grating(GRATING.period * k, GRATING.reflection_probabilities)
+    light = Particle(HELIUM.mass / k)
+    assert (_kernel_figures(spec, bl, light, wide, nv, nu)
+            == _kernel_figures(spec, bl, HELIUM, GRATING, nv, nu))
+    assert (_path_figures(bl, light, wide, spec.center_velocity)
+            == _path_figures(bl, HELIUM, GRATING, spec.center_velocity))
