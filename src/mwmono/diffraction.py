@@ -79,8 +79,8 @@ class Grating(_Grating):
 
     ``reflection_probabilities`` maps |order| to the population diffracted
     into that order at a single bounce; the grating keeps a copy of its own.
-    ``rates`` is that copy's (|order|, p) items, on which path selection
-    caches its ranking.
+    ``rates`` is that copy's (|order|, p) items, which key the path layer's
+    cached table of surviving and ranked paths.
     """
 
     def __new__(cls, period: float, reflection_probabilities: dict[int, float] | None = None):

@@ -4,12 +4,13 @@ A path through the device is the triple of internal diffraction orders (n1, n2, 
 with n1 + n2 + n3 equal to the device's total order N.  Bounce i leaves at the sine
 cos(epsilon) + j_i * lambda / a, with the sine indices j1 = n1 - N, j2 = n1 + n2 - N
 and j3 = 0: the exit bounce always propagates.  So the surviving paths change only
-where lambda / a crosses a threshold, and :func:`_census_table` lists them once per
-exit angle and |N|.  Each surviving path fixes the two internal angles, the geometry
-ratio d/s (the first-to-third reflection span over the plate separation), which
-depends on the unordered pair {j1, j2} alone and so names the path's group, and the
-transmission rate, the product of the per-bounce diffraction populations.  The device
-realizes the most transmissive path whose l/s band holds its own l/s ratio
+where lambda / a crosses a threshold, and :func:`_census_table` lists them, with their
+census and their selection order, once per exit angle, |N| and grating rates.  Each
+surviving path fixes the two internal angles, the geometry ratio d/s (the
+first-to-third reflection span over the plate separation), which depends on the
+unordered pair {j1, j2} alone and so names the path's group, and the transmission
+rate, the product of the per-bounce diffraction populations.  The device realizes the
+most transmissive path whose l/s band holds its own l/s ratio
 (:func:`select_path`).  Enumeration and selection compute the sines with the same
 float expressions, so their angles and ratios agree bit for bit.
 
@@ -180,40 +181,47 @@ def _transmission(probs: dict, n1: int, n2: int, n3: int) -> float | None:
 
 
 @functools.lru_cache(maxsize=64)
-def _census_table(theta_out: float, total: int):
-    """(limits, rows) of the exit angle ``theta_out`` and |N| = ``total``.
+def _census_table(theta_out: float, total: int, rates: tuple[tuple[int, float], ...]):
+    """(limits, rows) of the exit angle ``theta_out``, |N| = ``total`` and a grating's
+    ``rates``.
 
     Index j propagates while the step lambda / a is at most (1 - cos(epsilon)) / j for
     j > 0, or (1 + cos(epsilon)) / |j| for j < 0; ``limits`` are those bounds, distinct and
-    ascending.  ``rows[bisect_left(limits, step)]`` is the frozenset of (n1, n2) whose j1
-    and j2 both propagate at ``step``, and their census (considered, surviving, groups),
-    a group being one unordered pair {j1, j2}.
+    ascending.  ``rows[bisect_left(limits, step)]`` holds, at ``step``, the (n1, n2, n3)
+    whose j1 and j2 both propagate, in :data:`INTERNAL_ORDERS` order; their census
+    (considered, surviving, groups), a group being one unordered pair {j1, j2}; and
+    :func:`select_path`'s candidates, those whose three rates ``rates`` all define, best
+    first by (transmission, -|n1|, orders).
     """
     cos_eps = math.cos(math.pi / 2 - theta_out)  # as _incidence computes it
     limit = {j: (1.0 - cos_eps) / j if j > 0 else (1.0 + cos_eps) / -j
              for j in range(-4 - total, 5 - total) if j}
-    pairs = {}  # (n1, n2) -> (its limit, {j1, j2})
+    probs, paths, keys = dict(rates), {}, {}  # paths: (n1, n2, n3) -> (its limit, {j1, j2})
     for n1 in INTERNAL_ORDERS:
         for n2 in INTERNAL_ORDERS:
-            js = n1 - total, n1 + n2 - total
-            pairs[n1, n2] = (min(limit.get(j, math.inf) for j in js), frozenset(js))
+            js, orders = (n1 - total, n1 + n2 - total), (n1, n2, total - n1 - n2)
+            paths[orders] = (min(limit.get(j, math.inf) for j in js), frozenset(js))
+            if (transmission := _transmission(probs, *orders)) is not None:
+                keys[orders] = (transmission, -abs(n1), orders)
     limits = sorted(set(limit.values()))
     rows = []
     for floor in (-math.inf, *limits):
-        alive = {pair: js for pair, (lim, js) in pairs.items() if lim > floor}
-        rows.append((frozenset(alive), (len(pairs), len(alive), len(set(alive.values())))))
+        alive = {orders: js for orders, (lim, js) in paths.items() if lim > floor}
+        ranked = sorted(keys.keys() & alive.keys(), key=keys.__getitem__, reverse=True)
+        rows.append((tuple(alive), (len(paths), len(alive), len(set(alive.values()))),
+                     tuple(ranked)))
     return tuple(limits), tuple(rows)
 
 
 def _surviving(setting, particle, grating, v):
-    """(theta_inc, step, (alive, census)) at v: :func:`~mwmono.diffraction._incidence`'s
-    solve, with its errors, and the step's row of :func:`_census_table`.
+    """(theta_inc, step, row) at v: :func:`~mwmono.diffraction._incidence`'s solve, with
+    its errors, and the step's row (surviving, census, ranked) of :func:`_census_table`.
 
     Order n shifts a sine by ``n * step if n else 0.0``: 0.0, not 0 * step, which is nan once
     the step is inf.  A surviving sine lies in [-1, 1] up to rounding, and is clamped there.
     """
     theta_inc, step = _incidence(setting, particle, grating, v)
-    limits, rows = _census_table(setting.theta_out, abs(setting.total_order))
+    limits, rows = _census_table(setting.theta_out, abs(setting.total_order), grating.rates)
     return theta_inc, step, rows[bisect_left(limits, step)]
 
 
@@ -230,23 +238,18 @@ def enumerate_paths(
     angles exist (no evanescent order), as :func:`path_census` counts; the
     exit bounce always does.  An empty list is a valid result.
     """
-    theta_inc, step, (alive, _) = _surviving(setting, particle, grating, v)
-    sin_inc, total = math.sin(theta_inc), abs(setting.total_order)
-    probs = grating.reflection_probabilities
-    shifts = [(n, n * step if n else 0.0) for n in INTERNAL_ORDERS]
-    paths = []
-    for n1, shift1 in shifts:
-        if (n1, 0) not in alive:  # j2 = j1 at n2 = 0: the first bounce is evanescent
-            continue
-        s1 = sin_inc + shift1
-        alpha1, rest = math.asin(1.0 if s1 > 1.0 else -1.0 if s1 < -1.0 else s1), total - n1
-        tan1 = math.tan(alpha1)
-        for n2, shift2 in shifts:
-            if (n1, n2) in alive:
-                s2 = s1 + shift2
-                alpha2, n3 = math.asin(1.0 if s2 > 1.0 else -1.0 if s2 < -1.0 else s2), rest - n2
-                paths.append(DiffractionPath(n1, n2, n3, alpha1, alpha2, tan1 + math.tan(alpha2),
-                                             _transmission(probs, n1, n2, n3)))
+    theta_inc, step, (surviving, _, _) = _surviving(setting, particle, grating, v)
+    sin_inc, probs = math.sin(theta_inc), grating.reflection_probabilities
+    paths, first = [], None
+    for n1, n2, n3 in surviving:
+        if n1 != first:  # the surviving paths run in INTERNAL_ORDERS order, so by n1
+            first, s1 = n1, sin_inc + (n1 * step if n1 else 0.0)
+            alpha1 = math.asin(1.0 if s1 > 1.0 else -1.0 if s1 < -1.0 else s1)
+            tan1 = math.tan(alpha1)
+        s2 = s1 + (n2 * step if n2 else 0.0)
+        alpha2 = math.asin(1.0 if s2 > 1.0 else -1.0 if s2 < -1.0 else s2)
+        paths.append(DiffractionPath(n1, n2, n3, alpha1, alpha2, tan1 + math.tan(alpha2),
+                                     _transmission(probs, n1, n2, n3)))
     return paths
 
 
@@ -254,22 +257,6 @@ def feasibility_band(path: DiffractionPath, setting: MonochromatorSetting) -> Fe
     """l/s interval in which the device realizes this path."""
     lower = path.geometry_ratio
     return FeasibilityBand(lower=lower, upper=lower + math.tan(setting.theta_out))
-
-
-@functools.lru_cache(maxsize=256)
-def _ranked_combinations(probabilities: tuple[tuple[int, float], ...], total: int, alive):
-    """:func:`select_path`'s candidates, best first, as one tuple of (n1, n2, n3) triples:
-    the (n1, n2) of ``alive``, a row of :func:`_census_table`, whose three reflection
-    probabilities ``probabilities`` (the grating's ``rates``) all define, ordered by
-    (transmission, -|n1|, orders) from the highest."""
-    probs = dict(probabilities)
-    keys = {}
-    for n1, n2 in alive:
-        n3 = total - n1 - n2
-        transmission = _transmission(probs, n1, n2, n3)
-        if transmission is not None:
-            keys[n1, n2, n3] = (transmission, -abs(n1), (n1, n2, n3))
-    return tuple(sorted(keys, key=keys.__getitem__, reverse=True))
 
 
 def select_path(
@@ -290,17 +277,16 @@ def select_path(
     the defaults), but they are left out of the throughput.
 
     The walk is best first: the candidates are the surviving paths of
-    :func:`enumerate_paths`, and their order depends only on the grating's
-    probabilities and |N|.  The ranking is cached on those two and the
-    surviving set as one flat tuple, so at each velocity the angles are
-    computed only up to the first feasible candidate.
+    :func:`enumerate_paths`, ranked in the same :func:`_census_table` row
+    that lists them, so at each velocity the angles are computed only up to
+    the first feasible candidate.
     """
     probs = grating.reflection_probabilities
     ratio = device.length / device.separation
     width = math.tan(setting.theta_out)  # of every path's band; see feasibility_band
-    theta_inc, step, (alive, _) = _surviving(setting, particle, grating, v)
+    theta_inc, step, (_, _, ranked) = _surviving(setting, particle, grating, v)
     sin_inc = math.sin(theta_inc)
-    for n1, n2, n3 in _ranked_combinations(grating.rates, abs(setting.total_order), alive):
+    for n1, n2, n3 in ranked:
         s1 = sin_inc + (n1 * step if n1 else 0.0)
         s2 = s1 + (n2 * step if n2 else 0.0)
         alpha1 = math.asin(1.0 if s1 > 1.0 else -1.0 if s1 < -1.0 else s1)

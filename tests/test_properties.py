@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from mwmono import (
     Beamline,
@@ -285,8 +285,8 @@ probability_maps = st.dictionaries(
        ratio=st.just(10.0) | st.floats(min_value=0.01, max_value=100.0),
        probs=st.tuples(probability_maps, probability_maps))
 def test_select_path_is_the_best_enumerated_feasible_path(theta_out, n, v, ratio, probs):
-    # select_path walks a cached best-first ranking; the two gratings are
-    # queried in turn so that a ranking kept from the other one would show.
+    # select_path walks the best-first ranking of a cached table row; the two gratings
+    # are queried in turn so that a row kept from the other one would show.
     setting = MonochromatorSetting(theta_out=theta_out, total_order=n)
     device = DeviceGeometry(separation=1.0, length=ratio)
     gratings = [Grating(period=GRATING.period, reflection_probabilities=p) for p in probs]
@@ -313,6 +313,29 @@ def test_select_path_keeps_a_best_path_whose_exit_sine_rounds_above_one():
                       reflection_probabilities={0: 0.1, 1: 0.5, 2: 0.1, 3: 1.0})
     device = DeviceGeometry(separation=1.0, length=10.0)
     assert select_path(setting, HELIUM, grating, 572.0, device).orders == (-1, -1, 3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(theta_out=st.floats(min_value=math.radians(1.0), max_value=math.radians(89.99)),
+       n=st.sampled_from([0, 1, -1, -2, 3]), v=velocities)
+def test_enumerated_pairs_are_those_whose_internal_sines_propagate(theta_out, n, v):
+    # The (n1, n2) enumerate_paths lists, in order, are those whose sines
+    # cos(epsilon) + j * lambda / a, j1 = n1 - |N| and j2 = n1 + n2 - |N|, lie in [-1, 1],
+    # with lambda / a computed here and not read from the package's cached table.
+    setting = MonochromatorSetting(theta_out=theta_out, total_order=n)
+    step = 2.0 * math.pi * HBAR / (HELIUM.mass * v * GRATING.period)
+    cos_eps, total = math.cos(setting.epsilon), setting.order_magnitude
+    combos = {(n1, n2): [cos_eps + j * step for j in (n1 - total, n1 + n2 - total)]
+              for n1 in range(-2, 3) for n2 in range(-2, 3)}
+    incidence_sine = cos_eps - total * step
+    assume(abs(incidence_sine) > 1e-9)
+    assume(all(abs(abs(s) - 1.0) > 1e-9 for sines in combos.values() for s in sines))
+    if incidence_sine < 0.0:
+        with pytest.raises(BelowCutoffError):
+            enumerate_paths(setting, HELIUM, GRATING, v)
+        return
+    expected = [pair for pair, sines in combos.items() if all(abs(s) <= 1.0 for s in sines)]
+    assert [(p.n1, p.n2) for p in enumerate_paths(setting, HELIUM, GRATING, v)] == expected
 
 
 def test_census_counts_the_groups_of_the_enumerated_records_over_the_default_sweep():

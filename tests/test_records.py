@@ -14,6 +14,7 @@ from mwmono import (
     Particle,
     Pinhole,
     RunConfig,
+    enumerate_paths,
     feasibility_band,
     select_path,
     simulate_beam,
@@ -86,12 +87,15 @@ def test_grating_keeps_its_own_rates():
 
 
 def test_selection_reads_the_rates_of_its_own_grating():
-    # Rates 1 and 1.0 give equal ranking keys, but each selection multiplies its own.
+    # Rates 1 and 1.0 share one cached path table, but each record multiplies its own.
     setting, device = CFG.setting(), CFG.device()
-    picked = [select_path(setting, HELIUM_4, Grating(3.383e-10, {0: p, 1: p, 2: p}), 1000.0, device)
-              for p in (1, 1.0, 1)]
+    gratings = [Grating(3.383e-10, {0: p, 1: p, 2: p}) for p in (1, 1.0, 1)]
+    picked = [select_path(setting, HELIUM_4, grating, 1000.0, device) for grating in gratings]
     assert [repr(path.transmission) for path in picked] == ["1", "1.0", "1"]
     assert picked[0].orders == picked[1].orders
+    listed = [{repr(path.transmission) for path in enumerate_paths(setting, HELIUM_4, grating, 1000.0)
+               if path.transmission is not None} for grating in gratings]
+    assert listed == [{"1"}, {"1.0"}, {"1"}]
 
 
 @pytest.mark.parametrize("record, field, value, message", [
