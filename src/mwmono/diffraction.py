@@ -2,7 +2,7 @@
 
 De Broglie wavelength, the grating equation, its velocity derivative and the
 inverse problem of choosing the incidence angle that sends a given velocity
-into a fixed exit angle.
+into a fixed exit angle, solved once, in :func:`mwmono.geometry._surviving`.
 
 Sign convention: a positive diffraction order increases sin(theta).  A
 device working point quoted with a negative total order (the conventional
@@ -10,7 +10,7 @@ label for the first-order working point) is handled through its magnitude;
 see :class:`MonochromatorSetting`.
 
 All angles are in radians and all quantities in SI units.  Every function is
-pure; there is no shared mutable state.
+pure; the path layer's cache of exit-angle constants changes no result.
 """
 
 from __future__ import annotations
@@ -18,11 +18,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .errors import (
-    BelowCutoffError,
-    EvanescentOrderError,
-    GrazingSingularityError,
-)
+from .errors import EvanescentOrderError, GrazingSingularityError
 
 #: Reduced Planck constant in J*s (CODATA 2018; exact since the 2019 SI).
 HBAR = 1.054571817e-34
@@ -197,25 +193,6 @@ def velocity_divergence(
     return -q / (v * math.sqrt(1.0 - arg * arg))
 
 
-def _incidence(setting, particle, grating, v):
-    """(theta_inc, lambda / period) at velocity v: the angle :func:`incidence_for_output`
-    returns and the wavelength ratio it was solved with, so that the path layer solves
-    each velocity once.
-
-    The ratio is :func:`wavelength_ratio`'s float, bit for bit.  The specular shift is 0.0,
-    not 0 * ratio, which is nan once the momentum underflows and the ratio is inf.
-    """
-    if not v > 0:
-        raise ValueError(f"velocity must be positive, got {v}")
-    momentum = particle.mass * v  # zero only if the product underflows
-    ratio = (_TWO_PI_HBAR / momentum if momentum else math.inf) / grating.period
-    n = abs(setting.total_order)
-    arg = math.cos(math.pi / 2 - setting.theta_out) - (n * ratio if n else 0.0)
-    if arg < 0.0:
-        raise BelowCutoffError(v, setting.total_order, cutoff_velocity(setting, particle, grating))
-    return math.asin(arg), ratio
-
-
 def incidence_for_output(
     setting: MonochromatorSetting,
     particle: Particle,
@@ -225,12 +202,14 @@ def incidence_for_output(
     """Incidence angle sending velocity v into the fixed exit angle.
 
     Solves the total grating equation for theta_inc at the setting's order
-    magnitude: arcsin(cos(epsilon) - |N| * lambda / period).  v is checked at
+    magnitude: arcsin(cos(epsilon) - |N| * lambda / period), the arcsin of the
+    path layer's sine (:func:`mwmono.geometry._surviving`).  v is checked at
     every order, the specular one included, and raises ValueError unless it is
     positive.  Negative solutions are unphysical (the cutoff condition) and
     raise :class:`BelowCutoffError`.
     """
-    return _incidence(setting, particle, grating, v)[0]
+    from .geometry import _surviving  # geometry imports this module, so not at the top
+    return math.asin(_surviving(setting, particle, grating, v)[0])
 
 
 def cutoff_velocity(

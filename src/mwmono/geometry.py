@@ -5,7 +5,8 @@ with n1 + n2 + n3 equal to the device's total order N.  Bounce i leaves at the s
 cos(epsilon) + j_i * lambda / a, with the sine indices j1 = n1 - N, j2 = n1 + n2 - N
 and j3 = 0: the exit bounce always propagates.  So the surviving paths change only
 where lambda / a crosses a threshold, and :func:`_census_table` lists them, with their
-census and their selection order, once per exit angle, |N| and grating rates.  Each
+census, their selection order, cos(epsilon) and tan(theta_out), once per exit angle,
+|N| and grating rates.  :func:`_surviving` is the package's one incidence solve.  Each
 surviving path fixes the two internal angles, the geometry ratio d/s (the
 first-to-third reflection span over the plate separation), which depends on the
 unordered pair {j1, j2} alone and so names the path's group, and the transmission
@@ -29,13 +30,14 @@ from operator import attrgetter
 from typing import NamedTuple
 
 from .diffraction import (
+    _TWO_PI_HBAR,
     Grating,
     MonochromatorSetting,
     Particle,
     _checked,
-    _incidence,
+    cutoff_velocity,
 )
-from .errors import ConfigurationError, EmptyTransmissionError
+from .errors import BelowCutoffError, ConfigurationError, EmptyTransmissionError
 
 #: The internal orders n1 and n2 each range over [-2, 2]: the paper's 25 (n1, n2) pairs.
 INTERNAL_ORDERS = range(-2, 3)
@@ -182,8 +184,8 @@ def _transmission(probs: dict, n1: int, n2: int, n3: int) -> float | None:
 
 @functools.lru_cache(maxsize=64)
 def _census_table(theta_out: float, total: int, rates: tuple[tuple[int, float], ...]):
-    """(limits, rows) of the exit angle ``theta_out``, |N| = ``total`` and a grating's
-    ``rates``.
+    """(cos_eps, width, limits, rows) of the exit angle ``theta_out``, |N| = ``total`` and a
+    grating's ``rates``: cos(epsilon), every band's width tan(theta_out), and the rows.
 
     Index j propagates while the step lambda / a is at most (1 - cos(epsilon)) / j for
     j > 0, or (1 + cos(epsilon)) / |j| for j < 0; ``limits`` are those bounds, distinct and
@@ -193,7 +195,7 @@ def _census_table(theta_out: float, total: int, rates: tuple[tuple[int, float], 
     :func:`select_path`'s candidates, those whose three rates ``rates`` all define, best
     first by (transmission, -|n1|, orders).
     """
-    cos_eps = math.cos(math.pi / 2 - theta_out)  # as _incidence computes it
+    cos_eps = math.cos(math.pi / 2 - theta_out)  # MonochromatorSetting.epsilon's float
     limit = {j: (1.0 - cos_eps) / j if j > 0 else (1.0 + cos_eps) / -j
              for j in range(-4 - total, 5 - total) if j}
     probs, paths, keys = dict(rates), {}, {}  # paths: (n1, n2, n3) -> (its limit, {j1, j2})
@@ -210,19 +212,28 @@ def _census_table(theta_out: float, total: int, rates: tuple[tuple[int, float], 
         ranked = sorted(keys.keys() & alive.keys(), key=keys.__getitem__, reverse=True)
         rows.append((tuple(alive), (len(paths), len(alive), len(set(alive.values()))),
                      tuple(ranked)))
-    return tuple(limits), tuple(rows)
+    return cos_eps, math.tan(theta_out), tuple(limits), tuple(rows)
 
 
 def _surviving(setting, particle, grating, v):
-    """(theta_inc, step, row) at v: :func:`~mwmono.diffraction._incidence`'s solve, with
-    its errors, and the step's row (surviving, census, ranked) of :func:`_census_table`.
+    """(sin(theta_inc), step, width, row) at v: the package's one incidence solve,
+    cos(epsilon) - |N| * step with the step lambda / a, and the step's row (surviving,
+    census, ranked) and band width of :func:`_census_table`.  Raises as
+    :func:`~mwmono.diffraction.incidence_for_output` documents.
 
     Order n shifts a sine by ``n * step if n else 0.0``: 0.0, not 0 * step, which is nan once
     the step is inf.  A surviving sine lies in [-1, 1] up to rounding, and is clamped there.
     """
-    theta_inc, step = _incidence(setting, particle, grating, v)
-    limits, rows = _census_table(setting.theta_out, abs(setting.total_order), grating.rates)
-    return theta_inc, step, rows[bisect_left(limits, step)]
+    if not v > 0:
+        raise ValueError(f"velocity must be positive, got {v}")
+    momentum = particle.mass * v  # zero only if the product underflows
+    step = (_TWO_PI_HBAR / momentum if momentum else math.inf) / grating.period
+    n = abs(setting.total_order)
+    cos_eps, width, limits, rows = _census_table(setting.theta_out, n, grating.rates)
+    arg = cos_eps - (n * step if n else 0.0)
+    if arg < 0.0:
+        raise BelowCutoffError(v, setting.total_order, cutoff_velocity(setting, particle, grating))
+    return arg, step, width, rows[bisect_left(limits, step)]
 
 
 def enumerate_paths(
@@ -238,8 +249,8 @@ def enumerate_paths(
     angles exist (no evanescent order), as :func:`path_census` counts; the
     exit bounce always does.  An empty list is a valid result.
     """
-    theta_inc, step, (surviving, _, _) = _surviving(setting, particle, grating, v)
-    sin_inc, probs = math.sin(theta_inc), grating.reflection_probabilities
+    arg, step, _, (surviving, _, _) = _surviving(setting, particle, grating, v)
+    sin_inc, probs = math.sin(math.asin(arg)), grating.reflection_probabilities
     paths, first = [], None
     for n1, n2, n3 in surviving:
         if n1 != first:  # the surviving paths run in INTERNAL_ORDERS order, so by n1
@@ -283,9 +294,8 @@ def select_path(
     """
     probs = grating.reflection_probabilities
     ratio = device.length / device.separation
-    width = math.tan(setting.theta_out)  # of every path's band; see feasibility_band
-    theta_inc, step, (_, _, ranked) = _surviving(setting, particle, grating, v)
-    sin_inc = math.sin(theta_inc)
+    arg, step, width, (_, _, ranked) = _surviving(setting, particle, grating, v)
+    sin_inc = math.sin(math.asin(arg))  # the sine of incidence_for_output's angle
     for n1, n2, n3 in ranked:
         s1 = sin_inc + (n1 * step if n1 else 0.0)
         s2 = s1 + (n2 * step if n2 else 0.0)
@@ -337,4 +347,4 @@ def path_census(
     propagation threshold, so it is read from :func:`_census_table` after solving the
     velocity, with no angle computed.
     """
-    return _surviving(setting, particle, grating, v)[2][1]
+    return _surviving(setting, particle, grating, v)[3][1]

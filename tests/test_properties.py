@@ -45,7 +45,7 @@ from mwmono.beamline import (
     _traced_rows,
 )
 from mwmono.diffraction import HBAR, wavelength_ratio
-from mwmono.geometry import _surviving
+from mwmono.geometry import _census_table, _surviving
 
 HELIUM = Particle(mass=6.6464731e-27)
 GRATING = Grating(period=3.383e-10, reflection_probabilities={0: 0.06, 1: 0.03, 2: 0.015})
@@ -212,14 +212,21 @@ def test_groups_are_the_index_pairs_of_the_enumerated_paths(theta_out, n, v):
 
 
 def _solve_in_steps(setting, v):
-    """The incidence solve step by step: the wavelength ratio, cos(epsilon) - |N| * ratio,
-    and its arcsin; the path layer's step is that ratio."""
+    """The incidence solve step by step: the wavelength ratio and the sine of incidence
+    cos(epsilon) - |N| * ratio; the path layer's step is that ratio."""
     ratio = wavelength_ratio(HELIUM, GRATING, v)
     n = abs(setting.total_order)
     arg = math.cos(setting.epsilon) - (n * ratio if n else 0.0)  # 0 * inf is nan
     if arg < 0.0:
         raise BelowCutoffError(v, setting.total_order, cutoff_velocity(setting, HELIUM, GRATING))
-    return math.asin(arg), ratio
+    return arg, ratio
+
+
+DEFAULT_DEVICE = RunConfig.from_dict({}).device()
+
+
+def _select_on_default_device(setting, particle, grating, v):
+    return select_path(setting, particle, grating, v, DEFAULT_DEVICE)
 
 
 @settings(max_examples=500, deadline=None)
@@ -233,20 +240,22 @@ def _solve_in_steps(setting, v):
        n=st.sampled_from([0, 1, -1, -2, 3, 10**9, -10**9]),
        v=st.floats(min_value=5e-324, max_value=1e30) | velocities)
 def test_incidence_solve_matches_its_steps_bit_for_bit(theta_out, n, v):
-    # incidence_for_output and the path layer's (angle, step) are the stepwise solve's floats
-    # exactly, and raise its exceptions with its messages.
+    # The path layer's (sine, step) and incidence_for_output's angle are the stepwise solve's
+    # floats exactly; the solve and every path-layer call raise its exceptions with its
+    # messages.
     setting = MonochromatorSetting(theta_out=theta_out, total_order=n)
     try:
-        theta_inc, ratio = _solve_in_steps(setting, v)
+        arg, ratio = _solve_in_steps(setting, v)
     except MonochromatorError as exc:
-        for solve in (incidence_for_output, _surviving):
+        for solve in (incidence_for_output, _surviving, path_census, _select_on_default_device,
+                      enumerate_paths):
             with pytest.raises(type(exc)) as info:
                 solve(setting, HELIUM, GRATING, v)
             assert type(info.value) is type(exc)
             assert str(info.value) == str(exc)
         return
-    assert incidence_for_output(setting, HELIUM, GRATING, v) == theta_inc
-    assert _surviving(setting, HELIUM, GRATING, v)[:2] == (theta_inc, ratio)
+    assert _surviving(setting, HELIUM, GRATING, v)[:2] == (arg, ratio)
+    assert incidence_for_output(setting, HELIUM, GRATING, v) == math.asin(arg)
 
 
 def _best_enumerated_path(setting, grating, v, device):
@@ -293,6 +302,38 @@ def test_select_path_is_the_best_enumerated_feasible_path(theta_out, n, v, ratio
     for grating in gratings + gratings:
         assert (_outcome(select_path, setting, HELIUM, grating, v, device)
                 == _outcome(_best_enumerated_path, setting, grating, v, device))
+
+
+@settings(max_examples=300, deadline=None)
+@example(theta_out=GRAZING_THETA_OUT, n=-1, v=572.0,
+         probs=({0: 0.06, 1: 0.03, 2: 0.015}, {0: 0.1, 1: 0.5, 2: 0.1, 3: 1.0}))
+@example(theta_out=math.radians(85.0), n=-1, v=1000.0,
+         probs=({0: 0.06, 1: 0.03, 2: 0.015}, {0: 0.015, 1: 0.03, 2: 0.06}))
+@given(theta_out=st.floats(min_value=math.radians(1.0), max_value=GRAZING_THETA_OUT),
+       n=st.sampled_from([0, 1, -1, -2, 3, 10**9, -10**9]),
+       v=st.floats(min_value=5e-324, max_value=1e30) | velocities,
+       probs=st.tuples(probability_maps, probability_maps))
+def test_census_table_constants_and_its_cache_key(theta_out, n, v, probs):
+    # The table's cos(epsilon) and band width are the setting's floats, and a table cached
+    # for one grating never answers for another: two gratings queried interleaved give the
+    # outcomes each gives alone, from an empty cache.
+    setting = MonochromatorSetting(theta_out=theta_out, total_order=n)
+    gratings = [Grating(period=GRATING.period, reflection_probabilities=p) for p in probs]
+    for grating in gratings:
+        cos_eps, width, _, _ = _census_table(theta_out, abs(n), grating.rates)
+        assert cos_eps == math.cos(setting.epsilon)
+        assert width == math.tan(setting.theta_out)
+
+    def outcomes(grating):
+        return (_outcome(path_census, setting, HELIUM, grating, v),
+                _outcome(_select_on_default_device, setting, HELIUM, grating, v))
+
+    alone = []
+    for grating in gratings:
+        _census_table.cache_clear()
+        alone.append(outcomes(grating))
+    _census_table.cache_clear()
+    assert [outcomes(grating) for grating in gratings + gratings] == alone + alone
 
 
 def test_select_path_is_the_best_enumerated_feasible_path_over_the_default_sweep():
