@@ -40,17 +40,6 @@ column within a few ulps of an edge, where the rounded cell value and the
 edge rounded into column space may fall on opposite sides.  Property tests
 check equality with the every-cell count and with ``trace_velocity`` at every
 offset; the README grids and the tests' ranges never met such a column.
-
-Only the rows the exit pinholes can pass are traced (:func:`_traced_rows`).
-Every passing ray leaves within a reach of the reference exit point (the
-plate length l in the device, where both exit points lie on [0, l]; the
-source radius over cos(theta_inc) in the baseline), so each pinhole farther
-than that reach times |sin(theta_ref)| bounds |tan(rel)| of a passing row,
-which must also head downstream (cos(rel) > 0).  Every row's exit angle is
-computed, and a row is traced when its own rel, which the pinhole cut reads,
-meets both, with every length widened far beyond rounding.  So the rows left
-out count 0 on every cell as well, and every count, sum and output is that of
-tracing every row.
 """
 
 from __future__ import annotations
@@ -194,39 +183,6 @@ def _pinhole_bounds(theta_exit, theta_ref, pinholes):
     return lo, hi
 
 
-#: Relative slack of :func:`_traced_rows`' lengths, far above the rounding of the cuts.
-_ROWS_RTOL = 1e-9
-
-
-def _traced_rows(theta_exit, reach, pinholes):
-    """Index of the rows that can pass every pinhole, and of the last (reference) row.
-
-    ``theta_exit`` is each row's exit angle, with the reference row last; every passing ray
-    leaves within ``reach`` of the reference exit point.  A row passes pinhole k only if
-    ``|dx * slope + L_k * tan(rel)| <= d_k / 2`` for some ``|dx| <= reach`` (see
-    :func:`_pinhole_bounds`), and ``|slope| <= |cos(theta_ref)| + |sin(theta_ref)| *
-    |tan(rel)|``, so ``|tan(rel)| <= (d_k / 2 + reach * |cos(theta_ref)|) / (L_k - reach *
-    |sin(theta_ref)|)`` wherever that divisor is positive.  A row is kept when its own
-    |tan(rel)|, the value :func:`_pinhole_bounds` computes, is within the least of these
-    bounds, with every length widened by ``_ROWS_RTOL``, and when it heads downstream, as
-    :func:`_pinhole_bounds` requires: cos(rel) > 0 (tan has period pi, so this leaves out
-    rows exiting opposite the reference).  With no bound, every finite row heading
-    downstream is kept.
-    """
-    theta_ref = theta_exit[-1]
-    cos_ref, sin_ref = abs(math.cos(theta_ref)), abs(math.sin(theta_ref))
-    reach *= 1.0 + _ROWS_RTOL
-    bound = math.inf
-    for ph in pinholes:
-        divisor = ph.distance * (1.0 - _ROWS_RTOL) - reach * sin_ref
-        if divisor > 0.0:
-            bound = min(bound, (ph.diameter / 2 * (1.0 + _ROWS_RTOL) + reach * cos_ref) / divisor)
-    rel = theta_exit - theta_ref
-    keep = (np.abs(np.tan(rel)) <= bound) & (np.abs(rel) <= math.pi / 2)  # cos(rel) > 0
-    keep[-1] = True
-    return np.flatnonzero(keep)
-
-
 def _row_counts(valid, x, lo, hi, gap=None):
     """Columns of the sorted ``x`` inside [lo, hi] on each valid row.
 
@@ -313,29 +269,25 @@ def _counts(velocities, offsets, vbar, theta_inc, orders, particle, grating, pin
     between the plates of ``device``, or off an open grating when it is None (the baseline).
 
     The pinholes are centred on the reference ray, the centre velocity ``vbar`` through the
-    axis, which one extra row of the same evaluation holds.
+    axis, which one extra row of the same evaluation holds.  Every row is traced: the pinhole
+    cut is applied once, by :func:`_pinhole_bounds`.
     """
-    column = offsets / math.cos(theta_inc)  # first reflection point along the plate
-    if device is None:
-        reach = float(np.abs(column).max())  # from the reference ray's column 0
-    else:
-        length = reach = device.length
-        entry_window = min(device.separation * math.tan(theta_inc), length)
-        if entry_window <= 0:
-            raise EmptyTransmissionError("entry window closed at this incidence angle")
-        # The entry window depends on the offset alone: keep the columns in front.
-        column = entry_window / 2 + column
-        column = column[(column >= 0.0) & (column <= entry_window)]
     angles, valid = _exit_rows(theta_inc, orders, particle, grating, np.append(velocities, vbar))
-    rows = _traced_rows(angles[-1], reach, pinholes)
-    angles, valid = [angle[rows] for angle in angles], valid[rows]
     theta_exit = angles[-1]
+    column = offsets / math.cos(theta_inc)  # first reflection point along the plate
     if device is None:
         if not valid[-1]:
             raise EmptyTransmissionError("baseline centre velocity evanescent")
         lo, hi = _pinhole_bounds(theta_exit, theta_exit[-1], pinholes)
         gap = None
     else:
+        length = device.length
+        entry_window = min(device.separation * math.tan(theta_inc), length)
+        if entry_window <= 0:
+            raise EmptyTransmissionError("entry window closed at this incidence angle")
+        # The entry window depends on the offset alone: keep the columns in front.
+        column = entry_window / 2 + column
+        column = column[(column >= 0.0) & (column <= entry_window)]
         rise1, rise2, rise3 = rises = [device.separation * np.tan(a) for a in angles]
         central = _central_ray(rises, theta_exit, valid, length, entry_window / 2)
         if central is None:
@@ -350,9 +302,7 @@ def _counts(velocities, offsets, vbar, theta_inc, orders, particle, grating, pin
         hi = np.minimum.reduce([length - rise1, length - rise12, hi + shift])
         rise = rise12 + rise3
         gap = (-rise, length - rise)
-    counts = np.zeros(velocities.size, dtype=np.intp)
-    counts[rows[:-1]] = _row_counts(valid, column, lo, hi, gap)[:-1]
-    return counts
+    return _row_counts(valid, column, lo, hi, gap)[:-1]
 
 
 def simulate_beam(

@@ -16,6 +16,7 @@ pure; the path layer's cache of exit-angle constants changes no result.
 from __future__ import annotations
 
 import math
+from operator import index
 from typing import NamedTuple
 
 from .errors import EvanescentOrderError, GrazingSingularityError
@@ -117,6 +118,10 @@ class MonochromatorSetting(NamedTuple):
     def _check(self):
         if not 0 < self.theta_out < math.pi / 2:
             raise ValueError(f"theta_out must be in (0, pi/2), got {self.theta_out}")
+        try:
+            index(self.total_order)
+        except TypeError:
+            raise ValueError(f"total_order must be an integer, got {self.total_order}") from None
         if abs(self.total_order) > _MAX_ORDER:
             raise ValueError(f"|total_order| must be at most {_MAX_ORDER}, got {self.total_order}")
 

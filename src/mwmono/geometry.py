@@ -26,7 +26,7 @@ from __future__ import annotations
 import functools
 import math
 from bisect import bisect_left
-from operator import attrgetter
+from operator import attrgetter, index
 from typing import NamedTuple
 
 from .diffraction import (
@@ -131,6 +131,11 @@ class Beamline(NamedTuple):
 
 
 def _check_grid(velocity_bins: int, offset_samples: int) -> None:
+    try:
+        index(velocity_bins), index(offset_samples)
+    except TypeError:
+        raise ConfigurationError(
+            f"grid sizes must be integers, got {velocity_bins} x {offset_samples}") from None
     if velocity_bins < 3 or offset_samples < 1:
         raise ConfigurationError(f"grid {velocity_bins} x {offset_samples} is below 3 x 1")
     if velocity_bins > MAX_VELOCITY_BINS or offset_samples > MAX_OFFSET_SAMPLES:

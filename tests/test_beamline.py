@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -368,3 +369,26 @@ class TestGridLimits:
         with pytest.raises(ConfigurationError, match="exceeds the limit"):
             kernel(BeamSpec(1000.0), beamline, helium, grating,
                    velocity_bins=bins, offset_samples=samples)
+
+    @pytest.mark.parametrize("kernel", [simulate_beam, single_reflection_baseline,
+                                        scan_one_centre])
+    @pytest.mark.parametrize("bins, samples", [(2001.0, 201), (2001, 201.0)])
+    def test_non_integer_grid_raises(self, objs, kernel, bins, samples):
+        helium, grating, beamline = objs
+        with pytest.raises(ConfigurationError, match="grid sizes must be integers"):
+            kernel(BeamSpec(1000.0), beamline, helium, grating,
+                   velocity_bins=bins, offset_samples=samples)
+
+    @pytest.mark.parametrize("kernel", [simulate_beam, single_reflection_baseline])
+    def test_largest_grid_allocates_per_row(self, objs, kernel):
+        # Every row is traced, but no velocity x offset array is built: the peak stays below
+        # 64 arrays of one float64 per row (about 51 MB), where one such array takes 8 GB.
+        helium, grating, beamline = objs
+        tracemalloc.start()
+        try:
+            kernel(BeamSpec(1000.0), beamline, helium, grating,
+                   velocity_bins=MAX_VELOCITY_BINS, offset_samples=MAX_OFFSET_SAMPLES)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * (MAX_VELOCITY_BINS + 1) * 8

@@ -53,7 +53,7 @@ CASES = [
     # 4001 x 401 grid where the 2 mm exit pinhole at 300 mm is the tightest.
     (["simulate", "--config", str(GOLDEN / "tight_pinhole.yaml")],
      "simulate_tight_pinhole.json", 0),
-    # The same grid at every README centre: pins the kernels' traced rows.
+    # The same grid at every README centre: pins the kernels' counts on every row.
     (README_SCAN + ["--config", str(GOLDEN / "tight_pinhole.yaml")],
      "scan_tight_pinhole.csv", 0),
     # A baseline at 60 degrees and order -2, evanescent at 300 m/s.

@@ -42,7 +42,6 @@ from mwmono.beamline import (
     _counts,
     _pinhole_bounds,
     _row_counts,
-    _traced_rows,
 )
 from mwmono.diffraction import HBAR, wavelength_ratio
 from mwmono.geometry import _census_table, _surviving
@@ -470,9 +469,9 @@ DEFAULT_DISTANCES = [ph.distance for ph in RunConfig.from_dict({}).beamline().ex
 
 
 @settings(max_examples=300, deadline=None)
-# Rows are left out wrongly when rel near +-pi is not allowed for (the first
-# example), when the device's exit points or the baseline's source width are
-# not allowed for (the second and third).
+# Rows exiting with rel near +-pi (the first example), and rows passing pinholes
+# within reach of the device's exit points or of the baseline's source width
+# (the second and third).
 @example(v=300.0, nv=3, nu=3, source=1.0, exits=[(1.0, 1.0)], theta_out_deg=80.0,
          length_mm=5.0)
 @example(v=2137.0, nv=84, nu=4, source=0.01, exits=[(0.01, 1.0)], theta_out_deg=61.0,
@@ -488,13 +487,12 @@ DEFAULT_DISTANCES = [ph.distance for ph in RunConfig.from_dict({}).beamline().ex
        theta_out_deg=st.floats(min_value=30.0, max_value=89.9999),
        length_mm=st.floats(min_value=5.0, max_value=200.0))
 def test_row_counts_match_every_cell(v, nv, nu, source, exits, theta_out_deg, length_mm):
-    # Rows counted from their cut intervals, on the rows the exit pinholes can
-    # pass, must count exactly the cells the cut expressions pass when every
-    # cell is evaluated.  The exit angle and plate length vary so that the exit
-    # clearance cuts too; wide-open exit pinholes leave the device cuts to
-    # decide alone.  Pinholes from 1 mm to 2 m away include some within the
-    # plate length or the beam's reach, which bound no row, and exit angles
-    # near grazing, where reversed rows can pass.
+    # Rows counted from their cut intervals must count exactly the cells the
+    # cut expressions pass when every cell is evaluated, on every row.  The
+    # exit angle and plate length vary so that the exit clearance cuts too;
+    # wide-open exit pinholes leave the device cuts to decide alone.  Pinholes
+    # from 1 mm to 2 m away include some within the plate length or the beam's
+    # reach, and exit angles near grazing, where reversed rows can pass.
     cfg = RunConfig.from_dict({"setting": {"theta_out_deg": theta_out_deg},
                                "device": {"length_mm": length_mm}})
     bl = cfg.beamline()
@@ -570,32 +568,14 @@ def test_pinhole_bounds_of_flat_and_reversed_rows(theta_ref, theta_exit, diamete
     assert _row_counts(np.array([True]), dx, lo, hi)[0] == expected
 
 
-@pytest.mark.parametrize("theta_ref, theta_exit, diameter, expected", FLAT_AND_REVERSED_ROWS)
-def test_traced_rows_hold_the_flat_and_reversed_rows(theta_ref, theta_exit, diameter, expected):
-    # The flat rows at pi/2 and the reversed row, with rel near -pi, are traced
-    # exactly when the bounds and counts above pass them: the narrow pinhole
-    # bounds rel far below pi/2 - 0.1013 and leaves the flat row out, and the
-    # pinhole leaves out the row heading away.
-    pinholes = (Pinhole(abs(diameter), 0.3),)
-    dx = np.linspace(-1e-3, 1e-3, 41)
-    exit_sine = np.sin([theta_exit, theta_ref])  # the reference row last
-    rows = _traced_rows(np.arcsin(exit_sine), 1e-3, pinholes)
-    assert rows[-1] == 1
-    theta_exit = np.arcsin(exit_sine[:1])
-    lo, hi = _pinhole_bounds(theta_exit, theta_ref, pinholes)
-    counts = _row_counts(np.array([True]), dx, lo, hi)
-    assert (0 in rows) == (counts[0] > 0)
-
-
 def test_a_pinhole_within_reach_passes_no_reversed_row():
     # A 1 mm pinhole 0.5 mm off lies within reach of exit points up to 1 mm off, where
     # the line through the row at rel = -2.6 rad crosses it on 33 of 41 columns; the row
-    # heads away from the pinhole plane, so it passes none and is not traced.
+    # heads away from the pinhole plane, so it passes none.
     pinholes = (Pinhole(1e-3, 5e-4),)
-    theta_exit = np.arcsin(np.sin([-1.3, 1.3]))  # the reference row last
-    lo, hi = _pinhole_bounds(theta_exit[:1], 1.3, pinholes)
+    theta_exit = np.arcsin(np.sin([-1.3]))
+    lo, hi = _pinhole_bounds(theta_exit, 1.3, pinholes)
     assert _row_counts(np.array([True]), np.linspace(-1e-3, 1e-3, 41), lo, hi)[0] == 0
-    assert _traced_rows(theta_exit, 1e-3, pinholes).tolist() == [1]
 
 
 def test_baseline_rows_leaving_away_from_the_pinhole_pass_nothing():

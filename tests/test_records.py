@@ -127,6 +127,8 @@ def test_config_constructors_stay_classmethods():
     (lambda: MonochromatorSetting(0.0), "theta_out must be in (0, pi/2), got 0.0"),
     (lambda: MonochromatorSetting(theta_out=math.pi / 2),
      f"theta_out must be in (0, pi/2), got {math.pi / 2}"),
+    (lambda: MonochromatorSetting(total_order=1.5), "total_order must be an integer, got 1.5"),
+    (lambda: MonochromatorSetting(total_order=-1.0), "total_order must be an integer, got -1.0"),
     (lambda: MonochromatorSetting(total_order=-10**9 - 1),
      "|total_order| must be at most 1000000000, got -1000000001"),
     (lambda: DeviceGeometry(0.0, 1.0), "separation must be positive, got 0.0"),
