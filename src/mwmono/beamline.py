@@ -164,23 +164,33 @@ def _pinhole_bounds(theta_exit, theta_ref, pinholes):
     and |offset| <= d / 2 at each.  For a pinhole beyond the exit point, at
     L > dx * sin(theta_ref), heading downstream is meeting its plane forward
     along the ray.  cos(rel) > 0 is |rel| <= pi / 2 rounded down, as |rel| <=
-    pi.  A row of slope 0 has one offset on every column: bounds (-inf, inf)
-    if it passes, else inf.
+    pi.  The pinholes bound dx * slope to [low, high], the intersection of
+    their [-d / 2 - offset, d / 2 - offset] at dx = 0; one division per row
+    turns it into bounds on dx, swapped where the slope is negative, so an
+    empty intersection stays empty.  Rounding is monotone, so this is exactly
+    the intersection of each pinhole's bounds on dx.  A row of slope 0 has one
+    offset on every column: bounds (-inf, inf) if low <= 0 <= high, which is
+    |offset| <= d / 2 at every pinhole as the sign of a rounded difference is
+    exact, else inf.
     """
     rel = theta_exit - theta_ref
     tan_rel = np.tan(rel)
     slope = math.cos(theta_ref) - math.sin(theta_ref) * tan_rel
-    flat = slope == 0.0
-    divisor = np.where(flat, 1.0, slope)
-    lo, hi = np.where(np.abs(rel) <= math.pi / 2, -np.inf, np.inf), np.full(slope.shape, np.inf)
+    downstream = np.where(np.abs(rel) <= math.pi / 2, -np.inf, np.inf)
+    if not pinholes:
+        return downstream, np.full(slope.shape, np.inf)
+    low, high = -np.inf, np.inf
     for ph in pinholes:
         centre = ph.distance * tan_rel  # offset at dx = 0
-        a = (-ph.diameter / 2 - centre) / divisor
-        b = (ph.diameter / 2 - centre) / divisor
-        flat_lo = np.where(np.abs(centre) <= ph.diameter / 2, -np.inf, np.inf)
-        lo = np.maximum(lo, np.where(flat, flat_lo, np.minimum(a, b)))
-        hi = np.minimum(hi, np.where(flat, np.inf, np.maximum(a, b)))
-    return lo, hi
+        low = np.maximum(low, -ph.diameter / 2 - centre)
+        high = np.minimum(high, ph.diameter / 2 - centre)
+    flat, rising = slope == 0.0, slope > 0.0
+    divisor = np.where(flat, 1.0, slope)
+    lo = np.where(rising, low, high) / divisor
+    hi = np.where(rising, high, low) / divisor
+    lo = np.where(flat, np.where((low <= 0.0) & (high >= 0.0), -np.inf, np.inf), lo)
+    lo = np.maximum(downstream, lo)
+    return lo, np.where(flat, np.inf, hi)
 
 
 def _row_counts(valid, x, lo, hi, gap=None):

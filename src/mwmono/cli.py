@@ -14,9 +14,11 @@ from __future__ import annotations
 import argparse
 import collections
 import csv
+import gc
 import io
 import json
 import math
+import os
 import sys
 
 from . import __version__
@@ -336,7 +338,20 @@ def entrypoint(argv=None) -> int:
 
 
 def run():
-    sys.exit(entrypoint())
+    """Entry of the ``mwmono`` script and ``python -m mwmono.cli``: run one command, then exit.
+
+    Only this function owns its process, so only it drops what the process would pay for and
+    never use; :func:`entrypoint` and the library leave their host's environment alone.
+    ``OPENBLAS_NUM_THREADS`` defaults to 1 before any command imports numpy: the package makes
+    no BLAS call, and numpy's OpenBLAS would otherwise start a worker thread per core when it
+    loads. A value the caller set is kept.  ``gc.freeze()`` moves every object the command
+    built to the permanent generation, so the collections at interpreter shutdown skip them;
+    stdout is still flushed and atexit handlers still run at ``sys.exit``.
+    """
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    code = entrypoint()
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

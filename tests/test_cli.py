@@ -22,6 +22,7 @@ from mwmono.config import DEFAULT_CONFIG, _merge
 from mwmono.geometry import (
     BASELINE_ORDER, BASELINE_THETA_INC, MAX_OFFSET_SAMPLES, MAX_VELOCITY_BINS,
 )
+from test_golden import CASES, FAILURES
 
 
 class Result(NamedTuple):
@@ -584,11 +585,19 @@ class TestInputContract:
 GOLDEN = Path(__file__).parent / "golden"
 
 
-def run_python(code, *args):
-    """Run ``code`` in a fresh interpreter that imports this checkout's mwmono."""
+def run_python(code, *args, **variables):
+    """Run ``code`` in a fresh interpreter that imports this checkout's mwmono.
+
+    Each keyword sets that variable of the child's environment, or removes it if None.
+    """
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(mwmono.__file__).parents[1]), *filter(None, [env.get("PYTHONPATH")])])
+    for name, value in variables.items():
+        if value is None:
+            env.pop(name, None)
+        else:
+            env[name] = value
     return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
                           timeout=60)
 
@@ -657,3 +666,49 @@ class TestLazyImports:
         assert free.returncode == 0, free.stderr.decode()
         assert blocked.stdout == free.stdout
         assert len(free.stdout.splitlines()) == 7 and free.stdout.endswith(b"\nNone\n")
+
+
+RUN = "from mwmono.cli import run; run()"
+
+
+class TestProcessEntry:
+    """``run()``, the console script's entry, in a process of its own: the same bytes and
+    exit codes as ``entrypoint``, with one OpenBLAS thread unless the caller sets a pool."""
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+    def test_simulate_holds_one_thread_at_exit(self):
+        # Registered before run(), the handler runs after the command, with numpy loaded.
+        code = ("import atexit, os, sys\n"
+                "atexit.register(lambda: print(len(os.listdir('/proc/self/task')),"
+                " os.environ.get('OPENBLAS_NUM_THREADS'), file=sys.stderr))\n" + RUN)
+        proc = run_python(code, "simulate", "--v-center", "1000", OPENBLAS_NUM_THREADS=None)
+        assert proc.returncode == 0, proc.stderr.decode()
+        assert proc.stdout == (GOLDEN / "simulate_1000.json").read_bytes()
+        assert proc.stderr == b"1 1\n"
+
+    def test_a_pool_size_the_caller_sets_is_kept(self):
+        code = ("import atexit, os, sys\n"
+                "atexit.register(lambda: print(os.environ['OPENBLAS_NUM_THREADS'],"
+                " file=sys.stderr))\n" + RUN)
+        proc = run_python(code, "simulate", "--v-center", "1000", OPENBLAS_NUM_THREADS="2")
+        assert proc.returncode == 0, proc.stderr.decode()
+        assert proc.stdout == (GOLDEN / "simulate_1000.json").read_bytes()
+        assert proc.stderr == b"2\n"
+
+    @pytest.mark.parametrize("args, name, code", [
+        pytest.param(*case, id=case[1]) for case in CASES
+        if case[1] in ("scan.csv", "paths_250.csv")])
+    def test_golden_case_through_run(self, args, name, code):
+        err = GOLDEN / f"{name}.err"
+        proc = run_python(RUN, *args)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            code, (GOLDEN / name).read_bytes(), err.read_bytes() if err.exists() else b"")
+
+    def test_config_error_through_run(self, tmp_path):
+        args, config, code, out, err = next(row for row in FAILURES if row[1] == "bogus: 1")
+        path = tmp_path / "config.yaml"
+        path.write_text(config)
+        proc = run_python(RUN, *[arg.replace("{config}", str(path)) for arg in args])
+        assert code == 2
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            code, out.encode(), err.replace("{config}", str(path)).encode())

@@ -568,6 +568,43 @@ def test_pinhole_bounds_of_flat_and_reversed_rows(theta_ref, theta_exit, diamete
     assert _row_counts(np.array([True]), dx, lo, hi)[0] == expected
 
 
+def _bounds_of_each_pinhole(theta_exit, theta_ref, pinholes):
+    """``_pinhole_bounds`` as the intersection of each pinhole's own bounds on dx."""
+    rel = theta_exit - theta_ref
+    tan_rel = np.tan(rel)
+    slope = math.cos(theta_ref) - math.sin(theta_ref) * tan_rel
+    flat = slope == 0.0
+    divisor = np.where(flat, 1.0, slope)
+    lo, hi = np.where(np.abs(rel) <= math.pi / 2, -np.inf, np.inf), np.full(slope.shape, np.inf)
+    for ph in pinholes:
+        centre = ph.distance * tan_rel
+        a = (-ph.diameter / 2 - centre) / divisor
+        b = (ph.diameter / 2 - centre) / divisor
+        flat_lo = np.where(np.abs(centre) <= ph.diameter / 2, -np.inf, np.inf)
+        lo = np.maximum(lo, np.where(flat, flat_lo, np.minimum(a, b)))
+        hi = np.minimum(hi, np.where(flat, np.inf, np.maximum(a, b)))
+    return lo, hi
+
+
+@settings(max_examples=300, deadline=None)
+@given(theta_ref=st.floats(min_value=-1.5, max_value=1.5) | st.sampled_from([0.1013, 1.3]),
+       theta_exit=st.lists(st.floats(min_value=-math.pi / 2, max_value=math.pi / 2)
+                           | st.sampled_from([math.pi / 2, math.nan]), min_size=1, max_size=30),
+       pinholes=st.lists(st.builds(Pinhole, st.floats(min_value=1e-6, max_value=10.0),
+                                   st.floats(min_value=1e-4, max_value=1e300)), max_size=3))
+@example(theta_ref=0.1013, theta_exit=[math.pi / 2, math.nan, 0.1013],
+         pinholes=[Pinhole(30.0, 0.3), Pinhole(1e-2, 0.3)])
+def test_pinhole_bounds_are_each_pinholes_bounds_intersected_bit_for_bit(
+        theta_ref, theta_exit, pinholes):
+    # One division of the intersected bounds on dx * slope, flat and NaN rows included.
+    theta_exit = np.arcsin(np.sin(theta_exit))
+    with np.errstate(invalid="ignore", over="ignore"):
+        got = _pinhole_bounds(theta_exit, theta_ref, tuple(pinholes))
+        expected = _bounds_of_each_pinhole(theta_exit, theta_ref, tuple(pinholes))
+    for g, e in zip(got, expected):
+        assert g.tobytes() == e.tobytes()
+
+
 def test_a_pinhole_within_reach_passes_no_reversed_row():
     # A 1 mm pinhole 0.5 mm off lies within reach of exit points up to 1 mm off, where
     # the line through the row at rel = -2.6 rad crosses it on 33 of 41 columns; the row
