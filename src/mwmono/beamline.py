@@ -27,19 +27,19 @@ central-ray helper.
 Rows are counted from intervals.  At a fixed velocity (one grid row) every
 cut is affine in the source offset u, and so in the row's sorted column
 coordinate: x1 = window/2 + u / cos(theta_inc) in the device, dx = u /
-cos(theta_inc) in the baseline.  The entry window depends on u alone, so its
-blocked columns are dropped up front.  Both on-plate checks (x2, x3 in
-[0, l]) and each pinhole (|offset| <= d/2) bound the coordinate, and the exit
-clearance removes the open gap where x3 + rise3 lies in (0, l).  So a row
-passes one interval less the gap, and its columns are counted by binary
-search; no rows x columns array is built.  The count equals the one the same
-cut expressions give on every cell: each cut's value is monotone in the
-column coordinate (the pinhole offset up to a few ulps), so the columns it
-passes are those on one side of its edge.  The two can differ only for a
-column within a few ulps of an edge, where the rounded cell value and the
-edge rounded into column space may fall on opposite sides.  Property tests
-check equality with the every-cell count and with ``trace_velocity`` at every
-offset; the README grids and the tests' ranges never met such a column.
+cos(theta_inc) in the baseline.  The entry window (x1 in [0, window]), both
+on-plate checks (x2, x3 in [0, l]) and each pinhole (|offset| <= d/2) bound
+the coordinate, and the exit clearance removes the open gap where x3 + rise3
+lies in (0, l).  So a row passes one interval less the gap, and its columns
+are counted by binary search; no rows x columns array is built.  The count
+equals the one the same cut expressions give on every cell: each cut's value
+is monotone in the column coordinate (the pinhole offset up to a few ulps),
+so the columns it passes are those on one side of its edge.  The two can
+differ only for a column within a few ulps of an edge, where the rounded
+cell value and the edge rounded into column space may fall on opposite
+sides.  Property tests check equality with the every-cell count and with
+``trace_velocity`` at every offset; the README grids and the tests' ranges
+never met such a column.
 """
 
 from __future__ import annotations
@@ -49,7 +49,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .diffraction import HBAR, Grating, Particle, incidence_for_output
+from .diffraction import (
+    _TWO_PI_HBAR, Grating, Particle, _check_incidence, _check_order, incidence_for_output,
+)
 from .errors import BelowCutoffError, ConfigurationError, EmptyTransmissionError
 # The domain objects, grid bounds, baseline defaults and path selection live in
 # geometry, which loads no numpy.
@@ -104,7 +106,7 @@ def _exit_rows(theta_inc, orders, particle, grating, v):
     (subnormal v, or m * a underflowing to 0; 0 * inf is NaN) gives a sine no row passes.
     """
     mass_period = particle.mass * grating.period
-    step = (2.0 * math.pi * HBAR / mass_period if mass_period else math.inf) / v
+    step = (_TWO_PI_HBAR / mass_period if mass_period else math.inf) / v
     angles, valid, sine = [], True, math.sin(theta_inc)
     for n in orders:
         sine = sine + n * step
@@ -295,21 +297,20 @@ def _counts(velocities, offsets, vbar, theta_inc, orders, particle, grating, pin
         entry_window = min(device.separation * math.tan(theta_inc), length)
         if entry_window <= 0:
             raise EmptyTransmissionError("entry window closed at this incidence angle")
-        # The entry window depends on the offset alone: keep the columns in front.
         column = entry_window / 2 + column
-        column = column[(column >= 0.0) & (column <= entry_window)]
         rise1, rise2, rise3 = rises = [device.separation * np.tan(a) for a in angles]
         central = _central_ray(rises, theta_exit, valid, length, entry_window / 2)
         if central is None:
             raise EmptyTransmissionError("central ray blocked inside the device")
-        # Every cut bounds x1: x2 = x1 + rise1 and x3 = x2 + rise2 lie on the
-        # plate, dx = x3 - central.position passes the pinholes, and the exit
-        # clearance x3 + rise3 lies outside (0, length).
+        # Every cut bounds x1: x1 lies in the entry window, x2 = x1 + rise1 and
+        # x3 = x2 + rise2 lie on the plate, dx = x3 - central.position passes the
+        # pinholes, and the exit clearance x3 + rise3 lies outside (0, length).
         rise12 = rise1 + rise2
         lo, hi = _pinhole_bounds(theta_exit, central.angle, pinholes)
         shift = central.position - rise12
-        lo = np.maximum.reduce([-rise1, -rise12, lo + shift])
-        hi = np.minimum.reduce([length - rise1, length - rise12, hi + shift])
+        lo = np.maximum(np.maximum.reduce([-rise1, -rise12, lo + shift]), 0.0)
+        hi = np.minimum(np.minimum.reduce([length - rise1, length - rise12, hi + shift]),
+                        entry_window)
         rise = rise12 + rise3
         gap = (-rise, length - rise)
     return _row_counts(valid, column, lo, hi, gap)[:-1]
@@ -358,6 +359,8 @@ def single_reflection_baseline(
     The mirror is not enclosed between plates, so only the pinholes select;
     the exit pinholes are again centred on the centre velocity's exit ray.
     """
+    _check_incidence(theta_inc)
+    _check_order(order, "order")
     velocities, offsets = _axes(spec, beamline, velocity_bins, offset_samples)
     counts = _counts(velocities, offsets, spec.center_velocity, theta_inc, (order,), particle,
                      grating, beamline.exit_pinholes)

@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 from typing import NamedTuple
 
-from .diffraction import HELIUM_4, Grating, MonochromatorSetting, Particle, _MAX_ORDER
+from .diffraction import HELIUM_4, Grating, MonochromatorSetting, Particle, _check_order
 from .errors import ConfigurationError
 from .geometry import (
     BASELINE_ORDER,
@@ -261,8 +261,7 @@ class RunConfig(NamedTuple):
     @property
     def baseline_order(self) -> int:
         order = self.data["baseline"]["order"]
-        if abs(order) > _MAX_ORDER:
-            raise ValueError(f"|order| must be at most {_MAX_ORDER}, got {order}")
+        _check_order(order, "order")
         if abs(order) not in self.grating().reflection_probabilities:
             raise ValueError(f"no reflection probability for |order| = {abs(order)}")
         return order

@@ -34,6 +34,23 @@ GRAZING_MARGIN = 1e-12
 _MAX_ORDER = 10**9
 
 
+def _check_order(order, name: str) -> None:
+    """Raise ValueError unless ``order``, the value called ``name``, is an integer of
+    magnitude at most :data:`_MAX_ORDER`."""
+    try:
+        index(order)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {order}") from None
+    if abs(order) > _MAX_ORDER:
+        raise ValueError(f"|{name}| must be at most {_MAX_ORDER}, got {order}")
+
+
+def _check_incidence(theta_inc: float) -> None:
+    """Raise ValueError unless the incidence angle ``theta_inc`` is below pi/2 in magnitude."""
+    if not abs(theta_inc) < math.pi / 2:
+        raise ValueError(f"|theta_inc| must be below pi/2, got {theta_inc}")
+
+
 #: A named tuple's ``_make``, which ``_replace`` calls, built through the constructor, so that
 #: a changed record is checked as well.
 _make_through_constructor = classmethod(lambda cls, fields: cls(*fields))
@@ -118,12 +135,7 @@ class MonochromatorSetting(NamedTuple):
     def _check(self):
         if not 0 < self.theta_out < math.pi / 2:
             raise ValueError(f"theta_out must be in (0, pi/2), got {self.theta_out}")
-        try:
-            index(self.total_order)
-        except TypeError:
-            raise ValueError(f"total_order must be an integer, got {self.total_order}") from None
-        if abs(self.total_order) > _MAX_ORDER:
-            raise ValueError(f"|total_order| must be at most {_MAX_ORDER}, got {self.total_order}")
+        _check_order(self.total_order, "total_order")
 
     @property
     def epsilon(self) -> float:
@@ -163,8 +175,7 @@ def diffraction_angle(
 
     Raises :class:`EvanescentOrderError` when the order does not propagate.
     """
-    if not abs(theta_inc) < math.pi / 2:
-        raise ValueError(f"|theta_inc| must be below pi/2, got {theta_inc}")
+    _check_incidence(theta_inc)
     ratio = wavelength_ratio(particle, grating, v)
     if order == 0:
         return theta_inc  # specular: exact, no sin/arcsin round trip

@@ -256,15 +256,14 @@ def enumerate_paths(
     """
     arg, step, _, (surviving, _, _) = _surviving(setting, particle, grating, v)
     sin_inc, probs = math.sin(math.asin(arg)), grating.reflection_probabilities
-    paths, first = [], None
+    paths = []
     for n1, n2, n3 in surviving:
-        if n1 != first:  # the surviving paths run in INTERNAL_ORDERS order, so by n1
-            first, s1 = n1, sin_inc + (n1 * step if n1 else 0.0)
-            alpha1 = math.asin(1.0 if s1 > 1.0 else -1.0 if s1 < -1.0 else s1)
-            tan1 = math.tan(alpha1)
+        s1 = sin_inc + (n1 * step if n1 else 0.0)
         s2 = s1 + (n2 * step if n2 else 0.0)
+        alpha1 = math.asin(1.0 if s1 > 1.0 else -1.0 if s1 < -1.0 else s1)
         alpha2 = math.asin(1.0 if s2 > 1.0 else -1.0 if s2 < -1.0 else s2)
-        paths.append(DiffractionPath(n1, n2, n3, alpha1, alpha2, tan1 + math.tan(alpha2),
+        paths.append(DiffractionPath(n1, n2, n3, alpha1, alpha2,
+                                     math.tan(alpha1) + math.tan(alpha2),
                                      _transmission(probs, n1, n2, n3)))
     return paths
 

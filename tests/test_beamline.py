@@ -279,6 +279,22 @@ class TestBaseline:
             single_reflection_baseline(BeamSpec(1000.0), beamline, helium, grating, order=3)
         assert str(info.value) == "baseline centre velocity evanescent"
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"theta_inc": 2.0}, "|theta_inc| must be below pi/2, got 2.0"),
+        ({"theta_inc": math.pi / 2}, f"|theta_inc| must be below pi/2, got {math.pi / 2}"),
+        ({"theta_inc": math.nan}, "|theta_inc| must be below pi/2, got nan"),
+        ({"order": 1.5}, "order must be an integer, got 1.5"),
+        ({"order": 10**400}, f"|order| must be at most 1000000000, got {10**400}"),
+        # Through a one-centre scan as well.
+        ({"baseline_order": 10**400}, f"|order| must be at most 1000000000, got {10**400}"),
+    ])
+    def test_checks_incidence_and_order_as_the_records_do(self, objs, kwargs, message):
+        helium, grating, beamline = objs
+        kernel = scan_one_centre if "baseline_order" in kwargs else single_reflection_baseline
+        with pytest.raises(ValueError) as info:
+            kernel(BeamSpec(1000.0), beamline, helium, grating, **kwargs)
+        assert str(info.value) == message
+
 
 class TestScan:
     def test_single_point_matches_simulate(self, objs):
@@ -328,30 +344,8 @@ class TestScan:
 
 
 class TestBeamSpec:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            BeamSpec(center_velocity=200.0, full_width=500.0)
-        with pytest.raises(ValueError):
-            BeamSpec(center_velocity=1000.0, full_width=0.0)
-
     def test_input_speed_ratio(self):
         assert BeamSpec(1000.0, 500.0).speed_ratio == 2.0
-
-
-class TestBeamlineValidation:
-    def test_pinhole_ordering(self, default_config):
-        bl = default_config.beamline()
-        with pytest.raises(ValueError):
-            Beamline(
-                source_diameter=bl.source_diameter,
-                exit_pinholes=(bl.exit_pinholes[1], bl.exit_pinholes[0]),
-                device=bl.device,
-                setting=bl.setting,
-            )
-
-    def test_pinhole_validation(self):
-        with pytest.raises(ValueError):
-            Pinhole(diameter=0.0, distance=1.0)
 
 
 def scan_one_centre(spec, *args, **kwargs):

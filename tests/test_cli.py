@@ -22,7 +22,7 @@ from mwmono.config import DEFAULT_CONFIG, _merge
 from mwmono.geometry import (
     BASELINE_ORDER, BASELINE_THETA_INC, MAX_OFFSET_SAMPLES, MAX_VELOCITY_BINS,
 )
-from test_golden import CASES, FAILURES
+from test_golden import CASES, FAILURES, GOLDEN
 
 
 class Result(NamedTuple):
@@ -582,11 +582,8 @@ class TestInputContract:
         assert capsys.readouterr().err.endswith("(cutoff inf m/s)\n")
 
 
-GOLDEN = Path(__file__).parent / "golden"
-
-
 def run_python(code, *args, **variables):
-    """Run ``code`` in a fresh interpreter that imports this checkout's mwmono.
+    """Run ``code`` in a fresh interpreter that imports the same mwmono as this module.
 
     Each keyword sets that variable of the child's environment, or removes it if None.
     """

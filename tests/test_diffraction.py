@@ -5,10 +5,8 @@ import pytest
 from mwmono import (
     BelowCutoffError,
     EvanescentOrderError,
-    Grating,
     GrazingSingularityError,
     MonochromatorSetting,
-    Particle,
     cutoff_velocity,
     de_broglie_wavelength,
     diffraction_angle,
@@ -47,10 +45,6 @@ class TestDeBroglieWavelength:
             de_broglie_wavelength(helium, 0.0)
         with pytest.raises(ValueError):
             de_broglie_wavelength(helium, -10.0)
-
-    def test_particle_validation(self):
-        with pytest.raises(ValueError):
-            Particle(mass=0.0)
 
 
 class TestDiffractionAngle:
@@ -218,33 +212,3 @@ class TestIncidenceForOutput:
             minus, helium, grating, 1000.0
         )
 
-
-class TestIntegerVelocityAliasing:
-    def test_scaled_order_and_velocity_satisfy_same_equation(self, helium, grating):
-        # If (N, v1) solves sin(out) = sin(inc) + N * 2*pi*hbar/(m v a), then
-        # (k N, k v1) leaves the equation residual unchanged.
-        from mwmono.diffraction import HBAR
-
-        theta_inc = 0.4
-        v1 = 700.0
-        n = 1
-        coeff = 2 * math.pi * HBAR / (helium.mass * grating.period)
-        sin_out = math.sin(theta_inc) + n * coeff / v1
-        for k in (1, 2, 3, 5, 8):
-            residual = sin_out - math.sin(theta_inc) - (k * n) * coeff / (k * v1)
-            assert abs(residual) <= 1e-12
-
-
-class TestGratingValidation:
-    def test_probability_bounds(self):
-        with pytest.raises(ValueError):
-            Grating(period=1e-10, reflection_probabilities={0: 0.0})
-        with pytest.raises(ValueError):
-            Grating(period=1e-10, reflection_probabilities={0: 1.5})
-        with pytest.raises(ValueError):
-            Grating(period=-1e-10)
-
-    def test_rejects_signed_order_keys(self):
-        with pytest.raises(ValueError) as info:
-            Grating(3e-10, {-1: 0.1})
-        assert str(info.value) == "probabilities are keyed by |order|, got -1"

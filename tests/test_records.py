@@ -12,6 +12,7 @@ from mwmono import (
     Grating,
     MonochromatorSetting,
     Particle,
+    PathGroup,
     Pinhole,
     RunConfig,
     enumerate_paths,
@@ -36,6 +37,8 @@ RECORDS = [
     (CFG.beam(), ["center_velocity", "full_width"]),
     (PINHOLES[0], ["diameter", "distance"]),
     (BEAMLINE, ["source_diameter", "exit_pinholes", "device", "setting"]),
+    (PATH, ["n1", "n2", "n3", "alpha1", "alpha2", "geometry_ratio", "transmission"]),
+    (PathGroup(PATH.geometry_ratio, (PATH,)), ["geometry_ratio", "members"]),
     (feasibility_band(PATH, CFG.setting()), ["lower", "upper"]),
     (CFG, ["data"]),
     (ExitRay(0.01, 0.5), ["position", "angle"]),
