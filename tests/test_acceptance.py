@@ -28,7 +28,6 @@ from mwmono import (
     path_census,
     scan_speed_ratio,
     simulate_beam,
-    single_reflection_baseline,
     velocity_divergence,
 )
 

@@ -212,3 +212,18 @@ class TestIncidenceForOutput:
             minus, helium, grating, 1000.0
         )
 
+
+class TestIntegerVelocityAliasing:
+    def test_scaled_order_and_velocity_satisfy_same_equation(self, helium, grating):
+        # If (N, v1) solves sin(out) = sin(inc) + N * 2*pi*hbar/(m v a), then
+        # (k N, k v1) leaves the equation residual unchanged.
+        from mwmono.diffraction import HBAR
+
+        theta_inc = 0.4
+        v1 = 700.0
+        n = 1
+        coeff = 2 * math.pi * HBAR / (helium.mass * grating.period)
+        sin_out = math.sin(theta_inc) + n * coeff / v1
+        for k in (1, 2, 3, 5, 8):
+            residual = sin_out - math.sin(theta_inc) - (k * n) * coeff / (k * v1)
+            assert abs(residual) <= 1e-12
