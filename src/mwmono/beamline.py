@@ -57,7 +57,8 @@ from .errors import BelowCutoffError, ConfigurationError, EmptyTransmissionError
 # geometry, which loads no numpy.
 from .geometry import (
     BASELINE_ORDER, BASELINE_THETA_INC, DEFAULT_OFFSET_SAMPLES, DEFAULT_VELOCITY_BINS,
-    Beamline, BeamSpec, DiffractionPath, _check_grid, select_path,
+    Beamline, BeamSpec, DiffractionPath, _check_grid, _check_width, _reflection_probability,
+    select_path,
 )
 
 # The kernels' one floating-point policy: overflow, division by zero and invalid operations
@@ -102,11 +103,10 @@ def _exit_rows(theta_inc, orders, particle, grating, v):
     """Angle after each bounce of ``orders`` for every velocity in ``v``, and which rows
     propagate; evanescent rows get clipped angles.
 
-    Each order shifts the sine by lambda/period = 2 pi hbar / (m a) / v.  A step that overflows
-    (subnormal v, or m * a underflowing to 0; 0 * inf is NaN) gives a sine no row passes.
+    Each order shifts the sine by lambda / a = 2 pi hbar / (m v) / a, the path layer's float.
+    An m * v underflowing to 0 gives an inf step, and 0 * inf a NaN sine; no row passes either.
     """
-    mass_period = particle.mass * grating.period
-    step = (_TWO_PI_HBAR / mass_period if mass_period else math.inf) / v
+    step = _TWO_PI_HBAR / (particle.mass * v) / grating.period
     angles, valid, sine = [], True, math.sin(theta_inc)
     for n in orders:
         sine = sine + n * step
@@ -364,10 +364,7 @@ def single_reflection_baseline(
     velocities, offsets = _axes(spec, beamline, velocity_bins, offset_samples)
     counts = _counts(velocities, offsets, spec.center_velocity, theta_inc, (order,), particle,
                      grating, beamline.exit_pinholes)
-    prob = grating.reflection_probabilities.get(abs(order))
-    if prob is None:
-        raise ConfigurationError(f"no reflection probability for |order| = {abs(order)}")
-    return _reduce(spec, velocities, offsets, counts, prob)
+    return _reduce(spec, velocities, offsets, counts, _reflection_probability(grating, order))
 
 
 class ScanRow(NamedTuple):
@@ -394,13 +391,17 @@ def scan_speed_ratio(
 ) -> list[ScanRow]:
     """Speed ratio before and after the device across centre velocities.
 
-    The incidence angle is re-solved per centre velocity.  Rows where no
-    weight is transmitted, the velocity is below cutoff, or the centre is not
-    above half the width, plus half the width overflows or the width cannot
-    be split into distinct bins there, are emitted with a flag instead of
-    being dropped.  A configuration error that flags every centre, such as a
-    width no centre can split or an oversized grid, is raised.
+    The incidence angle is re-solved per centre velocity; the width and the baseline are checked
+    once, before the first centre.  Rows where no weight is transmitted, the velocity is below
+    cutoff, or the centre is not above half the width, plus half the width overflows or the
+    width cannot be split into distinct bins there, are emitted with a flag instead of being
+    dropped.  A configuration error that flags every centre, such as a width no centre can split
+    or an oversized grid, is raised.
     """
+    _check_width(full_width)
+    _check_incidence(baseline_theta_inc)
+    _check_order(baseline_order, "order")
+    _reflection_probability(grating, baseline_order)
     rows, config_error = [], None
     for vbar in v_centers:
         vbar = float(vbar)
@@ -414,8 +415,6 @@ def scan_speed_ratio(
             )
             final, throughput = result.speed_ratio, result.throughput
         except (ValueError, ConfigurationError) as exc:
-            if not full_width > 0:
-                raise
             if isinstance(exc, ConfigurationError):
                 config_error = exc
             rows.append(ScanRow(vbar, vbar / full_width, None, None, None, "invalid_center"))

@@ -27,6 +27,8 @@ from .geometry import (
     DeviceGeometry,
     Pinhole,
     _check_grid,
+    _check_width,
+    _reflection_probability,
 )
 
 #: The mapping each preset name of ``particle`` and ``material`` stands for.
@@ -162,7 +164,8 @@ class RunConfig(NamedTuple):
         cfg = cls(data=copy.deepcopy(merged))
         for section, build in [
             ("particle", cfg.particle), ("material", cfg.grating), ("setting", cfg.setting),
-            ("device", cfg.device), ("beamline", cfg.beamline), ("beam", lambda: cfg.beam_width),
+            ("device", cfg.device), ("beamline", cfg.beamline),
+            ("beam", lambda: _check_width(cfg.beam_width)),
             ("sampling", lambda: _check_grid(cfg.velocity_bins, cfg.offset_samples)),
             ("baseline/theta_inc_deg", lambda: cfg.baseline_theta_inc),
             ("baseline/order", lambda: cfg.baseline_order),
@@ -238,10 +241,7 @@ class RunConfig(NamedTuple):
     @property
     def beam_width(self) -> float:
         """The beam's full width [m/s], which a scan reads without the centre."""
-        width = self.data["beam"]["v_width_mps"]
-        if not width > 0:
-            raise ValueError(f"full_width must be positive, got {width}")
-        return width
+        return self.data["beam"]["v_width_mps"]
 
     @property
     def velocity_bins(self) -> int:
@@ -262,8 +262,7 @@ class RunConfig(NamedTuple):
     def baseline_order(self) -> int:
         order = self.data["baseline"]["order"]
         _check_order(order, "order")
-        if abs(order) not in self.grating().reflection_probabilities:
-            raise ValueError(f"no reflection probability for |order| = {abs(order)}")
+        _reflection_probability(self.grating(), order)
         return order
 
 

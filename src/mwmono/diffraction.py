@@ -142,10 +142,6 @@ class MonochromatorSetting(NamedTuple):
         """Clearance angle between the exit beam and grazing emission."""
         return math.pi / 2 - self.theta_out
 
-    @property
-    def order_magnitude(self) -> int:
-        return abs(self.total_order)
-
 
 #: A helium-4 atom (mass in kg), the default particle.
 HELIUM_4 = Particle(mass=6.6464731e-27)
@@ -196,8 +192,9 @@ def velocity_divergence(
 
     Zero for the specular order.  Raises :class:`GrazingSingularityError`
     when the exit ray is within ``GRAZING_MARGIN`` of grazing, where the
-    derivative diverges.
+    derivative diverges.  Checks ``theta_inc`` as :func:`diffraction_angle` does.
     """
+    _check_incidence(theta_inc)
     q = order * wavelength_ratio(particle, grating, v)
     if order == 0:
         return 0.0
@@ -234,8 +231,8 @@ def cutoff_velocity(
     grating: Grating,
 ) -> float:
     """Lowest velocity reaching the exit angle, where theta_inc crosses zero."""
-    n = setting.order_magnitude
+    n = abs(setting.total_order)
     if n == 0:
         return 0.0
     denominator = particle.mass * grating.period * math.cos(setting.epsilon)
-    return n * 2.0 * math.pi * HBAR / denominator if denominator else math.inf  # 0 if it underflows
+    return n * _TWO_PI_HBAR / denominator if denominator else math.inf  # 0 if it underflows

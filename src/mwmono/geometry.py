@@ -54,6 +54,20 @@ BASELINE_THETA_INC = math.radians(50.0)
 BASELINE_ORDER = -1
 
 
+def _check_width(full_width: float) -> None:
+    """Raise ValueError unless the beam's ``full_width`` is positive."""
+    if not full_width > 0:
+        raise ValueError(f"full_width must be positive, got {full_width}")
+
+
+def _reflection_probability(grating: Grating, order: int) -> float:
+    """The reflection probability of ``grating`` for |``order``|, or ConfigurationError."""
+    prob = grating.reflection_probabilities.get(abs(order))
+    if prob is None:
+        raise ConfigurationError(f"no reflection probability for |order| = {abs(order)}")
+    return prob
+
+
 @_checked
 class DeviceGeometry(NamedTuple):
     """Parallel-plate device: plate separation s and plate length l."""
@@ -67,11 +81,6 @@ class DeviceGeometry(NamedTuple):
         if not self.length > 0:
             raise ValueError(f"length must be positive, got {self.length}")
 
-    @property
-    def length_ratio(self) -> float:
-        """Length-to-separation ratio l/s."""
-        return self.length / self.separation
-
 
 @_checked
 class BeamSpec(NamedTuple):
@@ -81,8 +90,7 @@ class BeamSpec(NamedTuple):
     full_width: float = 500.0  # m/s
 
     def _check(self):
-        if not self.full_width > 0:
-            raise ValueError(f"full_width must be positive, got {self.full_width}")
+        _check_width(self.full_width)
         if not self.center_velocity > self.full_width / 2:
             raise ValueError(
                 "center_velocity must exceed half the width "

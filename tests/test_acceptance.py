@@ -74,7 +74,7 @@ def reference_census(v):
     """
     step = 2.0 * math.pi * HBAR / (HELIUM.mass * v * GRATING.period)
     cos_eps = math.cos(SETTING.epsilon)
-    total = SETTING.order_magnitude
+    total = abs(SETTING.total_order)
     orders = range(-2, 3)  # the paper's internal orders, written apart from the package's
     indices = [(n1 - total, n1 + n2 - total) for n1 in orders for n2 in orders]
     alive = [js for js in indices if all(abs(cos_eps + j * step) <= 1.0 for j in js)]
@@ -139,7 +139,7 @@ def test_acceptance_3_length_ratio_ten_covers_the_range():
         for v in range(300, 5001, 100):
             paths = enumerate_paths(SETTING, HELIUM, GRATING, float(v))
             if not any(
-                feasibility_band(p, SETTING).contains(device.length_ratio)
+                feasibility_band(p, SETTING).contains(device.length / device.separation)
                 for p in paths
             ):
                 uncovered.append(v)
@@ -189,7 +189,7 @@ def test_acceptance_5_property_suite():
             abs(
                 diffraction_angle(
                     incidence_for_output(SETTING, HELIUM, GRATING, v),
-                    SETTING.order_magnitude, HELIUM, GRATING, v,
+                    abs(SETTING.total_order), HELIUM, GRATING, v,
                 )
                 - SETTING.theta_out
             ) <= 1e-12
@@ -221,7 +221,7 @@ def test_acceptance_5_property_suite():
 
         # Order conservation over the full enumeration.
         conservation = all(
-            p.n1 + p.n2 + p.n3 == SETTING.order_magnitude
+            p.n1 + p.n2 + p.n3 == abs(SETTING.total_order)
             for v in (400.0, 1000.0, 3000.0)
             for p in enumerate_paths(SETTING, HELIUM, GRATING, v)
         )

@@ -58,7 +58,7 @@ class TestTraceVelocity:
         up = trace_velocity(vbar + 1.0, path, beamline, helium, grating, theta_inc)
         down = trace_velocity(vbar - 1.0, path, beamline, helium, grating, theta_inc)
         predicted = velocity_divergence(
-            theta_inc, setting.order_magnitude, helium, grating, vbar
+            theta_inc, abs(setting.total_order), helium, grating, vbar
         )
         assert (up.angle - down.angle) / 2.0 == pytest.approx(predicted, rel=0.01)
 
@@ -335,12 +335,25 @@ class TestScan:
         assert all(f is not None for f in finals)
         assert all(a > b for a, b in zip(finals, finals[1:]))
 
-    def test_nonpositive_width_raises(self, objs):
-        # A width no centre can take is the caller's error, not a flag on every row.
+    @pytest.mark.parametrize("centres, width, kwargs, error, message", [
+        # A width no centre can take is the caller's error, not a flag on every row, with
+        # or without centres.
+        ([1000.0], 0.0, {}, ValueError, "full_width must be positive, got 0.0"),
+        ([], 0.0, {}, ValueError, "full_width must be positive, got 0.0"),
+        # A centre whose beam is invalid never reaches the baseline, and the baseline of
+        # order -3 at 300 m/s is evanescent before its probability is looked up: each input
+        # is checked before the first centre, as it is at a centre that reaches it.
+        ([100.0], 500.0, {"baseline_theta_inc": 2.0}, ValueError,
+         "|theta_inc| must be below pi/2, got 2.0"),
+        ([300.0], 20.0, {"baseline_order": -3}, ConfigurationError,
+         "no reflection probability for |order| = 3"),
+    ])
+    def test_checks_width_and_baseline_before_the_first_centre(
+            self, objs, centres, width, kwargs, error, message):
         helium, grating, beamline = objs
-        with pytest.raises(ValueError) as info:
-            scan_speed_ratio([1000.0], 0.0, beamline, helium, grating)
-        assert str(info.value) == "full_width must be positive, got 0.0"
+        with pytest.raises(error) as info:
+            scan_speed_ratio(centres, width, beamline, helium, grating, **kwargs)
+        assert type(info.value) is error and str(info.value) == message
 
 
 class TestBeamSpec:

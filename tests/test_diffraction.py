@@ -145,6 +145,12 @@ class TestVelocityDivergence:
         with pytest.raises(EvanescentOrderError):
             velocity_divergence(math.radians(85.0), 1, helium, grating, 1000.0)
 
+    def test_checks_incidence_as_diffraction_angle_does(self, helium, grating):
+        for derived in (diffraction_angle, velocity_divergence):
+            with pytest.raises(ValueError) as info:
+                derived(2.5, 1, helium, grating, 1000.0)
+            assert str(info.value) == "|theta_inc| must be below pi/2, got 2.5"
+
 
 class TestIncidenceForOutput:
     def test_specular_fixed_point(self, helium, grating):
@@ -170,7 +176,7 @@ class TestIncidenceForOutput:
         for v in (300.0, 500.0, 1000.0, 2500.0, 5000.0):
             theta_inc = incidence_for_output(setting, helium, grating, v)
             theta_out = diffraction_angle(
-                theta_inc, setting.order_magnitude, helium, grating, v
+                theta_inc, abs(setting.total_order), helium, grating, v
             )
             assert abs(theta_out - setting.theta_out) <= 1e-12
 

@@ -40,6 +40,7 @@ from mwmono.beamline import (
     BASELINE_THETA_INC,
     _axes,
     _counts,
+    _exit_rows,
     _pinhole_bounds,
     _row_counts,
 )
@@ -235,13 +236,15 @@ def _select_on_default_device(setting, particle, grating, v):
 @example(theta_out=math.radians(85.0), n=-10**9, v=1e30)
 @example(theta_out=math.radians(85.0), n=-1, v=5e-324)
 @example(theta_out=math.radians(85.0), n=-1, v=200.0)
+@example(theta_out=math.radians(85.0), n=-1, v=302.0)
 @given(theta_out=st.floats(min_value=math.radians(1.0), max_value=GRAZING_THETA_OUT),
        n=st.sampled_from([0, 1, -1, -2, 3, 10**9, -10**9]),
        v=st.floats(min_value=5e-324, max_value=1e30) | velocities)
 def test_incidence_solve_matches_its_steps_bit_for_bit(theta_out, n, v):
     # The path layer's (sine, step) and incidence_for_output's angle are the stepwise solve's
     # floats exactly; the solve and every path-layer call raise its exceptions with its
-    # messages.
+    # messages.  The kernel's reference row steps its sines by the same ratio: along each
+    # enumerated path its angles are those of the stepwise sines.
     setting = MonochromatorSetting(theta_out=theta_out, total_order=n)
     try:
         arg, ratio = _solve_in_steps(setting, v)
@@ -254,12 +257,20 @@ def test_incidence_solve_matches_its_steps_bit_for_bit(theta_out, n, v):
             assert str(info.value) == str(exc)
         return
     assert _surviving(setting, HELIUM, GRATING, v)[:2] == (arg, ratio)
-    assert incidence_for_output(setting, HELIUM, GRATING, v) == math.asin(arg)
+    theta_inc = incidence_for_output(setting, HELIUM, GRATING, v)
+    assert theta_inc == math.asin(arg)
+    for path in enumerate_paths(setting, HELIUM, GRATING, v):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            angles, _ = _exit_rows(theta_inc, path.orders, HELIUM, GRATING, np.array([v]))
+        sine = math.sin(theta_inc)
+        for order, angle in zip(path.orders, angles):
+            sine = sine + order * ratio
+            assert angle.tobytes() == np.arcsin(np.clip([sine], -1.0, 1.0)).tobytes()
 
 
 def _best_enumerated_path(setting, grating, v, device):
     """select_path by its definition: the best enumerated record with a rate inside its band."""
-    ratio = device.length_ratio
+    ratio = device.length / device.separation
     feasible = [p for p in enumerate_paths(setting, HELIUM, grating, v)
                 if p.transmission is not None and feasibility_band(p, setting).contains(ratio)]
     if not feasible:
@@ -364,7 +375,7 @@ def test_enumerated_pairs_are_those_whose_internal_sines_propagate(theta_out, n,
     # with lambda / a computed here and not read from the package's cached table.
     setting = MonochromatorSetting(theta_out=theta_out, total_order=n)
     step = 2.0 * math.pi * HBAR / (HELIUM.mass * v * GRATING.period)
-    cos_eps, total = math.cos(setting.epsilon), setting.order_magnitude
+    cos_eps, total = math.cos(setting.epsilon), abs(setting.total_order)
     combos = {(n1, n2): [cos_eps + j * step for j in (n1 - total, n1 + n2 - total)]
               for n1 in range(-2, 3) for n2 in range(-2, 3)}
     incidence_sine = cos_eps - total * step
@@ -721,7 +732,7 @@ def test_scaling_the_mass_up_and_the_velocities_down_changes_no_figure(run, k):
 @example(run=DEFAULT_RUN, k=8.0)
 @given(run=runs(), k=powers_of_two)
 def test_scaling_the_period_up_and_the_mass_down_changes_no_figure(run, k):
-    # m a, and so lambda / a, keep their floats.
+    # h / (m v) scales by k exactly, as the period does, so lambda / a keeps its float.
     # Range: see ``lengths``; a k lies in [4e-11, 3e-9] m and m / k in [8e-28, 6e-26] kg.
     bl, spec, nv, nu = run
     wide = Grating(GRATING.period * k, GRATING.reflection_probabilities)
