@@ -28,18 +28,19 @@ Rows are counted from intervals.  At a fixed velocity (one grid row) every
 cut is affine in the source offset u, and so in the row's sorted column
 coordinate: x1 = window/2 + u / cos(theta_inc) in the device, dx = u /
 cos(theta_inc) in the baseline.  The entry window (x1 in [0, window]), both
-on-plate checks (x2, x3 in [0, l]) and each pinhole (|offset| <= d/2) bound
-the coordinate, and the exit clearance removes the open gap where x3 + rise3
-lies in (0, l).  So a row passes one interval less the gap, and its columns
-are counted by binary search; no rows x columns array is built.  The count
-equals the one the same cut expressions give on every cell: each cut's value
-is monotone in the column coordinate (the pinhole offset up to a few ulps),
-so the columns it passes are those on one side of its edge.  The two can
-differ only for a column within a few ulps of an edge, where the rounded
-cell value and the edge rounded into column space may fall on opposite
-sides.  Property tests check equality with the every-cell count and with
-``trace_velocity`` at every offset; the README grids and the tests' ranges
-never met such a column.
+on-plate checks (x2, x3 in [0, l]), each pinhole (|offset| <= d/2) and the
+exit clearance (x3 + rise3 outside (0, l), one side of it within the window)
+bound the coordinate.  So a row passes one closed interval, and its columns
+are counted by two binary searches; no rows x columns array is built.  The
+count equals the one the same cut expressions give on every cell: each cut's
+value is monotone in the column coordinate (the pinhole offset up to a few
+ulps), so the columns it passes are those on one side of its edge.  The two
+can differ only for a column within a few ulps of an edge, such as x1 = l on
+a row whose rise x3 + rise3 - x1 is within half an ulp of l of 0, where the
+rounded cell value and the edge rounded into column space may fall on
+opposite sides.  Property tests check equality with the every-cell count and
+with ``trace_velocity`` at every offset; the README grids and the tests'
+ranges never met such a column.
 """
 
 from __future__ import annotations
@@ -195,21 +196,15 @@ def _pinhole_bounds(theta_exit, theta_ref, pinholes):
     return lo, np.where(flat, np.inf, hi)
 
 
-def _row_counts(valid, x, lo, hi, gap=None):
+def _row_counts(valid, x, lo, hi):
     """Columns of the sorted ``x`` inside [lo, hi] on each valid row.
 
-    Columns inside the open interval ``gap = (gap_lo, gap_hi)`` do not pass.
     Rows that are invalid or whose bounds are empty or NaN count 0.
     """
     keep = valid & (lo <= hi)
     first = np.searchsorted(x, np.where(keep, lo, np.inf))
     end = np.searchsorted(x, np.where(keep, hi, np.inf), side="right")
-    counts = end - first
-    if gap is not None:
-        gap_first = np.searchsorted(x, gap[0], side="right")
-        gap_end = np.searchsorted(x, gap[1])
-        counts -= np.maximum(np.minimum(end, gap_end) - np.maximum(first, gap_first), 0)
-    return counts
+    return end - first
 
 
 def _axes(spec: BeamSpec, beamline: Beamline, velocity_bins: int, offset_samples: int):
@@ -291,7 +286,6 @@ def _counts(velocities, offsets, vbar, theta_inc, orders, particle, grating, pin
         if not valid[-1]:
             raise EmptyTransmissionError("baseline centre velocity evanescent")
         lo, hi = _pinhole_bounds(theta_exit, theta_exit[-1], pinholes)
-        gap = None
     else:
         length = device.length
         entry_window = min(device.separation * math.tan(theta_inc), length)
@@ -304,16 +298,19 @@ def _counts(velocities, offsets, vbar, theta_inc, orders, particle, grating, pin
             raise EmptyTransmissionError("central ray blocked inside the device")
         # Every cut bounds x1: x1 lies in the entry window, x2 = x1 + rise1 and
         # x3 = x2 + rise2 lie on the plate, dx = x3 - central.position passes the
-        # pinholes, and the exit clearance x3 + rise3 lies outside (0, length).
+        # pinholes, and the exit clearance x3 + rise3 = x1 + rise lies outside
+        # (0, length).  As x1 lies in [0, entry_window] and entry_window <= length,
+        # a positive rise can cut only from below (x1 >= length - rise) and any
+        # other rise only from above (x1 <= -rise).
         rise12 = rise1 + rise2
+        rise = rise12 + rise3
         lo, hi = _pinhole_bounds(theta_exit, central.angle, pinholes)
         shift = central.position - rise12
-        lo = np.maximum(np.maximum.reduce([-rise1, -rise12, lo + shift]), 0.0)
-        hi = np.minimum(np.minimum.reduce([length - rise1, length - rise12, hi + shift]),
-                        entry_window)
-        rise = rise12 + rise3
-        gap = (-rise, length - rise)
-    return _row_counts(valid, column, lo, hi, gap)[:-1]
+        lo = np.maximum(np.maximum.reduce([-rise1, -rise12, lo + shift,
+                                           np.where(rise > 0.0, length - rise, -np.inf)]), 0.0)
+        hi = np.minimum(np.minimum.reduce([length - rise1, length - rise12, hi + shift,
+                                           np.where(rise > 0.0, np.inf, -rise)]), entry_window)
+    return _row_counts(valid, column, lo, hi)[:-1]
 
 
 def simulate_beam(
@@ -391,14 +388,15 @@ def scan_speed_ratio(
 ) -> list[ScanRow]:
     """Speed ratio before and after the device across centre velocities.
 
-    The incidence angle is re-solved per centre velocity; the width and the baseline are checked
-    once, before the first centre.  Rows where no weight is transmitted, the velocity is below
-    cutoff, or the centre is not above half the width, plus half the width overflows or the
-    width cannot be split into distinct bins there, are emitted with a flag instead of being
-    dropped.  A configuration error that flags every centre, such as a width no centre can split
-    or an oversized grid, is raised.
+    The incidence angle is re-solved per centre velocity; the width, the grid and the baseline
+    are checked once, before the first centre.  Rows where no weight is transmitted, the velocity
+    is below cutoff, or the centre is not above half the width, plus half the width overflows or
+    the width cannot be split into distinct bins there, are emitted with a flag instead of being
+    dropped.  A configuration error that flags every centre, such as a width no centre can
+    split, is raised.
     """
     _check_width(full_width)
+    _check_grid(velocity_bins, offset_samples)
     _check_incidence(baseline_theta_inc)
     _check_order(baseline_order, "order")
     _reflection_probability(grating, baseline_order)

@@ -347,6 +347,13 @@ class TestScan:
          "|theta_inc| must be below pi/2, got 2.0"),
         ([300.0], 20.0, {"baseline_order": -3}, ConfigurationError,
          "no reflection probability for |order| = 3"),
+        # The grid too: a centre below half the width never reaches the kernel's grid check.
+        ([100.0], 500.0, {"velocity_bins": 2}, ConfigurationError,
+         "grid 2 x 201 is below 3 x 1"),
+        ([100.0], 500.0, {"offset_samples": 10**6}, ConfigurationError,
+         "grid 2001 x 1000000 exceeds the limit 100001 x 10001"),
+        ([100.0], 500.0, {"velocity_bins": 2001.0}, ConfigurationError,
+         "grid sizes must be integers, got 2001.0 x 201"),
     ])
     def test_checks_width_and_baseline_before_the_first_centre(
             self, objs, centres, width, kwargs, error, message):

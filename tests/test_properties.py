@@ -415,24 +415,26 @@ def _pinhole_passes(theta_exit, theta_ref, pinholes, dx):
     return passed
 
 
-def _kernel_counts(spec, bl, p, g, nv, nu, device):
+def _kernel_counts(spec, bl, p, g, nv, nu, device, orders=None):
     """Velocities and per-row passing offsets of the kernel, through the device on the
-    selected path or as the default baseline."""
+    bounce ``orders`` (by default the selected path's) or as the default baseline."""
     velocities, offsets = _axes(spec, bl, nv, nu)
     vbar = spec.center_velocity
     if not device:
         return velocities, _counts(velocities, offsets, vbar, BASELINE_THETA_INC,
                                    (BASELINE_ORDER,), p, g, bl.exit_pinholes)
     theta_inc = incidence_for_output(bl.setting, p, g, vbar)
-    path = select_path(bl.setting, p, g, vbar, bl.device)
-    return velocities, _counts(velocities, offsets, vbar, theta_inc, path.orders, p, g,
+    if orders is None:
+        orders = select_path(bl.setting, p, g, vbar, bl.device).orders
+    return velocities, _counts(velocities, offsets, vbar, theta_inc, orders, p, g,
                                bl.exit_pinholes, bl.device)
 
 
 def _every_cell_counts(spec, bl, p, g, nv, nu, device,
-                       baseline=(BASELINE_THETA_INC, BASELINE_ORDER)):
-    """Per-row passing offsets with every cut evaluated on every grid cell; without the
-    device, the ``baseline`` (incidence angle, order) bounces once."""
+                       baseline=(BASELINE_THETA_INC, BASELINE_ORDER), orders=None):
+    """Per-row passing offsets with every cut evaluated on every grid cell; the device
+    takes the bounce ``orders``, by default the selected path's, and without the device
+    the ``baseline`` (incidence angle, order) bounces once."""
     vbar = spec.center_velocity
     velocities = np.linspace(vbar - spec.full_width / 2, vbar + spec.full_width / 2, nv)
     offsets = np.linspace(-bl.source_diameter / 2, bl.source_diameter / 2, nu)
@@ -447,15 +449,17 @@ def _every_cell_counts(spec, bl, p, g, nv, nu, device,
         return np.where(np.abs(s_exit[:, 0]) <= 1.0, passed.sum(axis=1), 0)
     setting, s, length = bl.setting, bl.device.separation, bl.device.length
     theta_inc = incidence_for_output(setting, p, g, vbar)
-    path = select_path(setting, p, g, vbar, bl.device)
+    if orders is None:
+        orders = select_path(setting, p, g, vbar, bl.device).orders
+    n1, n2, n3 = orders
     entry_window = min(s * math.tan(theta_inc), length)
 
     def bounces(v):
         """Rise over each bounce, exit angle and validity of the velocity rows ``v``."""
         step = 2.0 * math.pi * HBAR / (p.mass * g.period) / v
-        s1 = math.sin(theta_inc) + path.n1 * step
-        s2 = s1 + path.n2 * step
-        s3 = s2 + path.n3 * step
+        s1 = math.sin(theta_inc) + n1 * step
+        s2 = s1 + n2 * step
+        s3 = s2 + n3 * step
         valid = (np.abs(s1) <= 1.0) & (np.abs(s2) <= 1.0) & (np.abs(s3) <= 1.0)
         angles = [np.arcsin(np.clip(sine, -1.0, 1.0)) for sine in (s1, s2, s3)]
         return [s * np.tan(angle) for angle in angles], angles[-1], valid
@@ -522,6 +526,38 @@ def test_row_counts_match_every_cell(v, nv, nu, source, exits, theta_out_deg, le
         except MonochromatorError:
             continue
         assert np.array_equal(counts, _every_cell_counts(spec, bl, p, g, nv, nu, device))
+
+
+@settings(max_examples=300, deadline=None)
+# The selected paths give no row whose rise x3 + rise3 - x1 is at most 0, where the exit
+# clearance cuts from above; on this path it cuts four of the 201 rows so, and 9 offsets
+# pass, none if it cut from below.
+@example(theta_out_deg=30.0, total=-2, n1=-2, n2=1, v=2000.0, ratio=1.9, nv=201, nu=21,
+         length_mm=50.0, wide=False)
+@given(theta_out_deg=st.floats(min_value=30.0, max_value=89.9999),
+       total=st.sampled_from([-3, -2, -1, 1, 2, 3]),
+       n1=st.integers(min_value=-2, max_value=2), n2=st.integers(min_value=-2, max_value=2),
+       v=st.floats(min_value=300.0, max_value=5000.0),
+       ratio=st.floats(min_value=0.01, max_value=1.9),
+       nv=st.integers(min_value=3, max_value=201), nu=st.integers(min_value=1, max_value=41),
+       length_mm=st.floats(min_value=5.0, max_value=200.0), wide=st.booleans())
+def test_explicit_paths_count_every_cell(theta_out_deg, total, n1, n2, v, ratio, nv, nu,
+                                         length_mm, wide):
+    # Every path of the total order, not only the selected one, counts exactly the cells
+    # the cut expressions pass, with the default or wide-open exit pinholes.
+    cfg = RunConfig.from_dict({"setting": {"theta_out_deg": theta_out_deg, "total_order": total},
+                               "device": {"length_mm": length_mm}})
+    bl = cfg.beamline()
+    if wide:
+        bl = bl._replace(exit_pinholes=tuple(Pinhole(1e3, ph.distance)
+                                             for ph in bl.exit_pinholes))
+    spec, orders = BeamSpec(v, ratio * v), (n1, n2, total - n1 - n2)
+    p, g = cfg.particle(), cfg.grating()
+    try:
+        _, counts = _kernel_counts(spec, bl, p, g, nv, nu, True, orders)
+    except MonochromatorError:
+        return
+    assert np.array_equal(counts, _every_cell_counts(spec, bl, p, g, nv, nu, True, orders=orders))
 
 
 @settings(max_examples=100, deadline=None)
