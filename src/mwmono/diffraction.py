@@ -10,7 +10,7 @@ label for the first-order working point) is handled through its magnitude;
 see :class:`MonochromatorSetting`.
 
 All angles are in radians and all quantities in SI units.  Every function is
-pure; the path layer's cache of exit-angle constants changes no result.
+pure; the path layer's table cache and its last-table memo change no result.
 """
 
 from __future__ import annotations

@@ -12,8 +12,9 @@ first-to-third reflection span over the plate separation), which depends on the
 unordered pair {j1, j2} alone and so names the path's group, and the transmission
 rate, the product of the per-bounce diffraction populations.  The device realizes the
 most transmissive path whose l/s band holds its own l/s ratio
-(:func:`select_path`).  Enumeration and selection compute the sines with the same
-float expressions, so their angles and ratios agree bit for bit.
+(:func:`select_path`).  For a zero order, enumeration adds 0.0 to the sine and selection
+reuses the angle before it: the incidence sine lies in [+0, 1] and a nonzero step never
+sums to -0.0, so adding 0.0 keeps every sine, and their angles and ratios agree bit for bit.
 
 The beamline's domain objects (beam, pinholes, beamline), the sampling
 grid's bounds and the baseline's defaults live here too, so that selecting a
@@ -206,7 +207,7 @@ def _census_table(theta_out: float, total: int, rates: tuple[tuple[int, float], 
     whose j1 and j2 both propagate, in :data:`INTERNAL_ORDERS` order; their census
     (considered, surviving, groups), a group being one unordered pair {j1, j2}; and
     :func:`select_path`'s candidates, those whose three rates ``rates`` all define, best
-    first by (transmission, -|n1|, orders).
+    first by (transmission, -|n1|, orders); :func:`_surviving` memoizes the last lookup.
     """
     cos_eps = math.cos(math.pi / 2 - theta_out)  # MonochromatorSetting.epsilon's float
     limit = {j: (1.0 - cos_eps) / j if j > 0 else (1.0 + cos_eps) / -j
@@ -228,6 +229,10 @@ def _census_table(theta_out: float, total: int, rates: tuple[tuple[int, float], 
     return cos_eps, math.tan(theta_out), tuple(limits), tuple(rows)
 
 
+#: :func:`_surviving`'s last (rates, theta_out, |N|, table): one tuple, swapped whole.
+_last_table = (None, None, None, None)
+
+
 def _surviving(setting, particle, grating, v):
     """(sin(theta_inc), step, width, row) at v: the package's one incidence solve,
     cos(epsilon) - |N| * step with the step lambda / a, and the step's row (surviving,
@@ -236,13 +241,21 @@ def _surviving(setting, particle, grating, v):
 
     Order n shifts a sine by ``n * step if n else 0.0``: 0.0, not 0 * step, which is nan once
     the step is inf.  A surviving sine lies in [-1, 1] up to rounding, and is clamped there.
+
+    The last table is reused while ``rates`` is the same object, which the memo holds so
+    that its id is never reused, and theta_out and |N| compare equal, as in the lru's key.
     """
+    global _last_table
     if not v > 0:
         raise ValueError(f"velocity must be positive, got {v}")
     momentum = particle.mass * v  # zero only if the product underflows
     step = (_TWO_PI_HBAR / momentum if momentum else math.inf) / grating.period
-    n = abs(setting.total_order)
-    cos_eps, width, limits, rows = _census_table(setting.theta_out, n, grating.rates)
+    n, theta_out, rates = abs(setting.total_order), setting.theta_out, grating.rates
+    last_rates, last_theta_out, last_n, table = _last_table
+    if not (rates is last_rates and theta_out == last_theta_out and n == last_n):
+        table = _census_table(theta_out, n, rates)
+        _last_table = (rates, theta_out, n, table)
+    cos_eps, width, limits, rows = table
     arg = cos_eps - (n * step if n else 0.0)
     if arg < 0.0:
         raise BelowCutoffError(v, setting.total_order, cutoff_velocity(setting, particle, grating))
@@ -302,18 +315,28 @@ def select_path(
     The walk is best first: the candidates are the surviving paths of
     :func:`enumerate_paths`, ranked in the same :func:`_census_table` row
     that lists them, so at each velocity the angles are computed only up to
-    the first feasible candidate.
+    the first feasible candidate.  The incidence angle and its tangent are taken
+    once: a zero n1 reuses them, and a zero n2 reuses the first bounce's.
     """
     probs = grating.reflection_probabilities
     ratio = device.length / device.separation
     arg, step, width, (_, _, ranked) = _surviving(setting, particle, grating, v)
     sin_inc = math.sin(math.asin(arg))  # the sine of incidence_for_output's angle
+    alpha0 = math.asin(sin_inc)
+    tan0 = math.tan(alpha0)
     for n1, n2, n3 in ranked:
-        s1 = sin_inc + (n1 * step if n1 else 0.0)
-        s2 = s1 + (n2 * step if n2 else 0.0)
-        alpha1 = math.asin(1.0 if s1 > 1.0 else -1.0 if s1 < -1.0 else s1)
-        alpha2 = math.asin(1.0 if s2 > 1.0 else -1.0 if s2 < -1.0 else s2)
-        lower = math.tan(alpha1) + math.tan(alpha2)
+        if n1:
+            s1 = sin_inc + n1 * step
+            alpha1 = math.asin(1.0 if s1 > 1.0 else -1.0 if s1 < -1.0 else s1)
+            tan1 = math.tan(alpha1)
+        else:
+            s1, alpha1, tan1 = sin_inc, alpha0, tan0
+        if n2:
+            s2 = s1 + n2 * step
+            alpha2 = math.asin(1.0 if s2 > 1.0 else -1.0 if s2 < -1.0 else s2)
+            lower = tan1 + math.tan(alpha2)
+        else:
+            alpha2, lower = alpha1, tan1 + tan1
         if lower < ratio < lower + width:
             # _transmission's product, from this grating: rates 1 and 1.0 share a cache key
             # but print apart.  Every ranked candidate defines all three rates.

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import pytest
 
@@ -6,6 +8,7 @@ from mwmono import (
     BelowCutoffError,
     DeviceGeometry,
     DiffractionPath,
+    Grating,
     MonochromatorSetting,
     PathGroup,
     diffraction_angle,
@@ -97,6 +100,42 @@ class TestWalkerErrors:
         assert str(info.value) == (
             "velocity 200.0 m/s below cutoff for |order| = 1 (cutoff 295.8 m/s)"
         )
+
+
+def test_threads_sharing_the_last_path_table_get_their_own_outcomes(helium, grating):
+    # The path layer keeps its last table in one module-level tuple that every thread reads
+    # and swaps; threads that alternate settings and gratings each get one thread's outcomes.
+    other = Grating(period=grating.period, reflection_probabilities={0: 0.015, 1: 0.03, 2: 0.06})
+    queries = [(MonochromatorSetting(total_order=n), g)
+               for n in (-1, -2) for g in (grating, other)]
+    velocities = [1000.0 + 7.0 * i for i in range(50)]
+
+    def outcome(k, v):
+        setting, g = queries[k]
+        return (path_census(setting, helium, g, v),
+                WALKERS["select_path"](setting, helium, g, v).orders)
+
+    expected = {(k, v): outcome(k, v) for k in range(len(queries)) for v in velocities}
+    results = {}
+
+    def work(worker):
+        keys = [((worker + i) % len(queries), v) for v in velocities for i in range(len(queries))]
+        results[worker] = [(key, outcome(*key)) for key in keys]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(worker,)) for worker in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert sorted(results) == [0, 1, 2, 3]
+    for runs in results.values():
+        assert all(got == expected[key] for key, got in runs)
 
 
 def transmissions(total_order, helium, grating, v=1000.0):

@@ -26,6 +26,7 @@ from mwmono import (
     diffraction_angle,
     enumerate_paths,
     feasibility_band,
+    geometry,
     group_paths_by_geometry,
     incidence_for_output,
     path_census,
@@ -297,6 +298,8 @@ probability_maps = st.dictionaries(
          probs=({0: 0.06, 1: 0.03, 2: 0.015}, {}))
 @example(theta_out=GRAZING_THETA_OUT, n=-1, v=572.0, ratio=10.0,
          probs=({0: 0.1, 1: 0.5, 2: 0.1, 3: 1.0}, {}))
+@example(theta_out=math.radians(85.0), n=0, v=187.0, ratio=10.0, probs=({}, {0: 1.0, 1: 1.0}))
+@example(theta_out=math.radians(85.0), n=0, v=5e-324, ratio=30.0, probs=({0: 1.0}, {}))
 @given(theta_out=st.just(math.radians(85.0))
        | st.floats(min_value=math.radians(1.0), max_value=GRAZING_THETA_OUT),
        n=st.sampled_from([0, 1, -1, -2, 3, 10**9, -10**9]),
@@ -325,25 +328,36 @@ def test_select_path_is_the_best_enumerated_feasible_path(theta_out, n, v, ratio
        probs=st.tuples(probability_maps, probability_maps))
 def test_census_table_constants_and_its_cache_key(theta_out, n, v, probs):
     # The table's cos(epsilon) and band width are the setting's floats, and a table cached
-    # for one grating never answers for another: two gratings queried interleaved give the
-    # outcomes each gives alone, from an empty cache.
+    # for one setting and grating never answers for another: gratings with other or equal
+    # but distinct rates, and settings one ulp of theta_out or one |N| apart, queried
+    # interleaved give the outcomes each gives alone, from empty caches.
     setting = MonochromatorSetting(theta_out=theta_out, total_order=n)
     gratings = [Grating(period=GRATING.period, reflection_probabilities=p) for p in probs]
     for grating in gratings:
         cos_eps, width, _, _ = _census_table(theta_out, abs(n), grating.rates)
         assert cos_eps == math.cos(setting.epsilon)
         assert width == math.tan(setting.theta_out)
+    gratings.append(Grating(period=GRATING.period, reflection_probabilities=probs[0]))
+    # Neighbouring variants differ in one key field alone.
+    other_n = n + 1 if n < 10**9 else n - 1
+    variants = [MonochromatorSetting(theta_out=math.nextafter(theta_out, 0.0), total_order=n),
+                setting, MonochromatorSetting(theta_out=theta_out, total_order=other_n)]
+    queries = [(variant, grating) for grating in gratings for variant in variants]
 
-    def outcomes(grating):
-        return (_outcome(path_census, setting, HELIUM, grating, v),
-                _outcome(_select_on_default_device, setting, HELIUM, grating, v))
+    def outcomes(setting, grating):
+        return tuple(_outcome(solve, setting, HELIUM, grating, v)
+                     for solve in (_surviving, path_census, _select_on_default_device))
+
+    def clear_caches():
+        _census_table.cache_clear()
+        geometry._last_table = (None, None, None, None)
 
     alone = []
-    for grating in gratings:
-        _census_table.cache_clear()
-        alone.append(outcomes(grating))
-    _census_table.cache_clear()
-    assert [outcomes(grating) for grating in gratings + gratings] == alone + alone
+    for query in queries:
+        clear_caches()
+        alone.append(outcomes(*query))
+    clear_caches()
+    assert [outcomes(*query) for query in queries + queries] == alone + alone
 
 
 def test_select_path_is_the_best_enumerated_feasible_path_over_the_default_sweep():
